@@ -12,15 +12,13 @@ from .config import (AggregatorConfig, ConfigError, DataConfig, DefenseSettings,
 from .data import (BadMagicError, CountMismatchError, Dataset, IdxFormatError,
                    PartitionSpec, TruncatedFileError, generate_synthetic,
                    load_idx, partition)
-from .defense import (AuditDefenseConfig, AuditMatrix, ContributionLedger,
-                      CosineDefenseConfig,
-                      audit_peer_update, contribution_step,
-                      cosine_contribution_step, cosine_similarity,
-                      defense_success_rate, eliminate_low_contributors,
-                      false_positive_rate)
+from .defense import (AuditMatrix, ContributionLedger, audit_peer_update,
+                      contribution_step, cosine_contribution_step,
+                      cosine_similarity, defense_success_rate,
+                      eliminate_low_contributors, false_positive_rate)
 from .model import (AdamState, ModelConfig, accuracy, adam_step, backward,
                     backward_soft, forward_loss, init_params, param_count,
-                    sgd_step, train, unflatten)
+                    sgd_step, unflatten)
 from .privacy import (DEFENDED_MSE_THRESHOLD, DLGConfig, PrivacyConfig,
                       ReconstructionDivergedError, add_gaussian_noise,
                       apply_privacy, dlg_reconstruct, leak_gradient,

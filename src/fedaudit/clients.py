@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .model import (AdamState, ModelConfig, adam_step, backward, epoch_permutations,
-                    sgd_step, train, train_minibatch)
+from .model import (AdamState, ModelConfig, adam_step, epoch_permutations,
+                    train_clients)
 
 FR_ADAM_LR = 0.015
 FR_ADAM_DECAY = 0.997
@@ -29,14 +29,14 @@ def fair_update(global_params: np.ndarray, config: ModelConfig, shard: Dataset,
     """
     if len(shard) == 0:
         raise ValueError("fair client needs a non-empty shard")
-    if batch_size is None:
-        trained = train(global_params, config, shard, eta, local_epochs)
-    else:
+    perms = None
+    if batch_size is not None:
         if rng is None:
             raise ValueError("minibatch training needs an rng for the shuffles")
-        perms = epoch_permutations(len(shard), local_epochs, rng)
-        trained = train_minibatch(global_params, config, shard, eta, perms, batch_size)
-    return trained - global_params
+        perms = epoch_permutations(len(shard), local_epochs, rng)[None]
+    trained = train_clients(global_params, config, shard.features[None],
+                            shard.labels[None], eta, local_epochs, perms, batch_size)
+    return trained[0] - global_params
 
 
 def plain_fr_update(prev_global_update: np.ndarray | None, dim: int) -> np.ndarray:

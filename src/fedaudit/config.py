@@ -8,6 +8,8 @@ runs.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 from .clients import FR_ADAM_DECAY, FR_ADAM_LR
@@ -21,6 +23,12 @@ DATA_SOURCES = ("synthetic", "idx")
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message lists field paths."""
+
+
+def _is_int(value, minimum: int) -> bool:
+    """An integer (bool excluded) no smaller than minimum."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= minimum)
 
 
 @dataclass(frozen=True)
@@ -98,15 +106,16 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         problems: list[str] = []
-        if self.rounds < 1:
-            problems.append("rounds: must be >= 1")
-        if self.eta <= 0:
-            problems.append("eta: must be > 0")
-        if self.local_epochs < 0:
-            problems.append("local_epochs: must be >= 0")
+        for name, minimum in (("seed", 0), ("rounds", 1), ("local_epochs", 0)):
+            if not _is_int(getattr(self, name), minimum):
+                problems.append(f"{name}: must be an integer >= {minimum}")
+        if (not isinstance(self.eta, numbers.Real) or isinstance(self.eta, bool)
+                or not 0 < self.eta < math.inf):
+            problems.append("eta: must be a finite number > 0")
         if self.local_batch_size is not None:
-            if self.local_batch_size < 1:
-                problems.append("local_batch_size: must be >= 1 (or null for full batch)")
+            if not _is_int(self.local_batch_size, 1):
+                problems.append(
+                    "local_batch_size: must be an integer >= 1 (or null for full batch)")
             elif self.local_batch_size > self.data.samples_per_client:
                 problems.append("local_batch_size: cannot exceed data.samples_per_client")
         if self.roster.total < 1:
@@ -176,8 +185,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a parsed JSON dict."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
-    known = {"seed", "rounds", "eta", "local_epochs", "model", "data", "roster",
-             "aggregator", "defense", "privacy", "sweep", "dlg"}
+    known = {"seed", "rounds", "eta", "local_epochs", "local_batch_size", "model",
+             "data", "roster", "aggregator", "defense", "privacy", "sweep", "dlg"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"top level: unknown keys {sorted(unknown)}")

@@ -24,41 +24,6 @@ log = logging.getLogger(__name__)
 MIN_ACTIVE_FOR_ELIMINATION = 3
 
 
-@dataclass(frozen=True)
-class AuditDefenseConfig:
-    """Knobs for the audit defense (config key "pass").
-
-    threshold = 1 / (beta * N); threshold_mode picks whether N is the current
-    active count or the initial roster size.
-    """
-
-    alpha: float = 0.95
-    beta: float = 1.75
-    initial_contribution: float | None = None  # None -> 1/N at runtime
-    threshold_mode: str = "current"
-
-    def __post_init__(self):
-        if not 0 <= self.alpha <= 1:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.beta < 1:
-            raise ValueError("beta must be >= 1")
-        if self.threshold_mode not in ("current", "initial"):
-            raise ValueError(f"unknown threshold_mode {self.threshold_mode!r}")
-
-
-@dataclass(frozen=True)
-class CosineDefenseConfig:
-    """Knobs for the cosine-reputation baseline (config key "rffl")."""
-
-    alpha: float = 0.95
-    threshold: float | None = None  # None -> 1/(3N) at runtime
-    initial_contribution: float | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.alpha <= 1:
-            raise ValueError("alpha must lie in [0, 1]")
-
-
 @dataclass
 class AuditMatrix:
     """One round's accuracy-divergence reports: entries[auditor][target].

@@ -86,17 +86,46 @@ def _check_batch(config: ModelConfig, batch: Dataset):
             f"batch feature dim {batch.features.shape[1]} != model input_dim {config.input_dim}")
 
 
-def _forward_activations(params: np.ndarray, config: ModelConfig,
-                         features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    layers = unflatten(params, config)
+def _forward(layers, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Layer inputs [x, h1, ...] and logits for (n, d) features, or for a
+    (C, n, d) stack under (C, ...)-stacked layers."""
     hidden = [features]
     h = features
     for w, b in layers[:-1]:
-        h = np.tanh(h @ w + b)
+        h = np.tanh(h @ w + b[..., None, :])
         hidden.append(h)
     w_out, b_out = layers[-1]
-    logits = h @ w_out + b_out
-    return hidden, logits
+    return hidden, h @ w_out + b_out[..., None, :]
+
+
+def _grads(layers, features: np.ndarray,
+           targets: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (dW, db) of mean cross-entropy against target distributions;
+    same rank rules as _forward."""
+    hidden, logits = _forward(layers, features)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    expd = np.exp(shifted)
+    probs = expd / expd.sum(axis=-1, keepdims=True)
+    delta = (probs - targets) / features.shape[-2]
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        grads[i] = (hidden[i].mT @ delta, delta.sum(axis=-2))
+        if i > 0:
+            delta = (delta @ layers[i][0].mT) * (1.0 - hidden[i] ** 2)
+    return grads
+
+
+def _flatten(layers) -> np.ndarray:
+    """Inverse of unflatten; a (C, ...)-stacked layer list gives (C, d)."""
+    lead = layers[0][1].shape[:-1]
+    return np.concatenate([a.reshape(*lead, -1) for layer in layers for a in layer],
+                          axis=-1)
+
+
+def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
+    onehot = np.zeros((*labels.shape, k))
+    np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
+    return onehot
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -108,7 +137,7 @@ def forward_loss(params: np.ndarray, config: ModelConfig,
                  batch: Dataset) -> tuple[float, float]:
     """Mean softmax cross-entropy and argmax accuracy on the batch."""
     _check_batch(config, batch)
-    _, logits = _forward_activations(params, config, batch.features)
+    _, logits = _forward(unflatten(params, config), batch.features)
     logp = _log_softmax(logits)
     n = len(batch)
     loss = -float(logp[np.arange(n), batch.labels].mean())
@@ -119,38 +148,15 @@ def forward_loss(params: np.ndarray, config: ModelConfig,
 def accuracy(params: np.ndarray, config: ModelConfig, dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions on the dataset."""
     _check_batch(config, dataset)
-    _, logits = _forward_activations(params, config, dataset.features)
+    _, logits = _forward(unflatten(params, config), dataset.features)
     return float((logits.argmax(axis=1) == dataset.labels).mean())
-
-
-def _backward_targets(params: np.ndarray, config: ModelConfig, features: np.ndarray,
-                      targets: np.ndarray) -> np.ndarray:
-    """Gradient of mean cross-entropy against a target distribution matrix."""
-    layers = unflatten(params, config)
-    hidden, logits = _forward_activations(params, config, features)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    probs = expd / expd.sum(axis=1, keepdims=True)
-    n = features.shape[0]
-    delta = (probs - targets) / n
-
-    grads: list[np.ndarray] = [np.empty(0)] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        gw = hidden[i].T @ delta
-        gb = delta.sum(axis=0)
-        grads[i] = np.concatenate([gw.ravel(), gb])
-        if i > 0:
-            delta = (delta @ w.T) * (1.0 - hidden[i] ** 2)
-    return np.concatenate(grads)
 
 
 def backward(params: np.ndarray, config: ModelConfig, batch: Dataset) -> np.ndarray:
     """Gradient of the mean cross-entropy with respect to every parameter."""
     _check_batch(config, batch)
-    onehot = np.zeros((len(batch), config.num_classes))
-    onehot[np.arange(len(batch)), batch.labels] = 1.0
-    return _backward_targets(params, config, batch.features, onehot)
+    return _flatten(_grads(unflatten(params, config), batch.features,
+                           _onehot(batch.labels, config.num_classes)))
 
 
 def backward_soft(params: np.ndarray, config: ModelConfig, features: np.ndarray,
@@ -161,7 +167,7 @@ def backward_soft(params: np.ndarray, config: ModelConfig, features: np.ndarray,
         raise ValueError("features must be (n, input_dim)")
     if target_probs.shape != (features.shape[0], config.num_classes):
         raise ValueError("target_probs must be (n, num_classes)")
-    return _backward_targets(params, config, features, target_probs)
+    return _flatten(_grads(unflatten(params, config), features, target_probs))
 
 
 def sgd_step(params: np.ndarray, gradient: np.ndarray, eta: float) -> np.ndarray:
@@ -205,64 +211,10 @@ def adam_step(state: AdamState, params: np.ndarray,
     return new_params, new_state
 
 
-def train(params: np.ndarray, config: ModelConfig, batch: Dataset, eta: float,
-          steps: int) -> np.ndarray:
-    """Run `steps` full-batch gradient-descent steps and return the new parameters."""
-    for _ in range(steps):
-        params = sgd_step(params, backward(params, config, batch), eta)
-    return params
-
-
 def epoch_permutations(n: int, epochs: int, rng: np.random.Generator) -> np.ndarray:
     """Simple-shuffle schedule: one sample permutation per epoch, (epochs, n)."""
     return np.stack([rng.permutation(n) for _ in range(epochs)]) if epochs else \
         np.empty((0, n), dtype=np.int64)
-
-
-def train_minibatch(params: np.ndarray, config: ModelConfig, batch: Dataset,
-                    eta: float, perms: np.ndarray, batch_size: int) -> np.ndarray:
-    """Minibatch SGD over pre-drawn epoch permutations; the remainder smaller
-    than batch_size at the end of an epoch is dropped."""
-    n = len(batch)
-    for perm in perms:
-        for start in range(0, n - batch_size + 1, batch_size):
-            idx = perm[start:start + batch_size]
-            mini = Dataset(batch.features[idx], batch.labels[idx], batch.num_classes)
-            params = sgd_step(params, backward(params, config, mini), eta)
-    return params
-
-
-def _batched_step(layers, features, onehot, eta):
-    """One full-batch GD step applied to every client slice at once."""
-    n = features.shape[1]
-    hidden = [features]
-    h = features
-    for w, b in layers[:-1]:
-        h = np.tanh(np.matmul(h, w) + b[:, None, :])
-        hidden.append(h)
-    w_out, b_out = layers[-1]
-    logits = np.matmul(h, w_out) + b_out[:, None, :]
-    shifted = logits - logits.max(axis=2, keepdims=True)
-    expd = np.exp(shifted)
-    probs = expd / expd.sum(axis=2, keepdims=True)
-    delta = (probs - onehot) / n
-    new_layers = []
-    for i in range(len(layers) - 1, -1, -1):
-        w, b = layers[i]
-        gw = np.matmul(hidden[i].transpose(0, 2, 1), delta)
-        gb = delta.sum(axis=1)
-        new_layers.append((w - eta * gw, b - eta * gb))
-        if i > 0:
-            delta = np.matmul(delta, w.transpose(0, 2, 1)) * (1.0 - hidden[i] ** 2)
-    return new_layers[::-1]
-
-
-def _onehot_stack(labels: np.ndarray, k: int) -> np.ndarray:
-    C, n = labels.shape
-    onehot = np.zeros((C, n, k))
-    idx_c, idx_n = np.meshgrid(np.arange(C), np.arange(n), indexing="ij")
-    onehot[idx_c, idx_n, labels] = 1.0
-    return onehot
 
 
 def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
@@ -274,38 +226,26 @@ def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
     features is (C, n, input_dim), labels (C, n); returns the (C, d) stack of
     trained parameter vectors. With perms/batch_size set, runs minibatch SGD
     over the given per-client epoch permutations (perms is (C, epochs, n)),
-    otherwise one full-batch step per epoch. Equivalent to per-client train /
-    train_minibatch calls (np.matmul over a stacked leading axis performs the
-    same per-slice products), just without the per-client Python overhead.
+    dropping each epoch's remainder smaller than batch_size; otherwise one
+    full-batch step per epoch. A single client is the C = 1 case: np.matmul
+    over the stacked leading axis performs the same per-slice products.
     """
     C, n, _ = features.shape
     if labels.shape != (C, n):
         raise ValueError("labels must be (C, n)")
-    layers = [(np.repeat(w[None, :, :], C, axis=0), np.repeat(b[None, :], C, axis=0))
-              for w, b in unflatten(params, config)]
-    k = config.num_classes
-
+    onehot = _onehot(labels, config.num_classes)
     if batch_size is None:
-        onehot = _onehot_stack(labels, k)
-        for _ in range(epochs):
-            layers = _batched_step(layers, features, onehot, eta)
+        batches = [(features, onehot)] * epochs
     else:
         if perms is None or perms.shape != (C, epochs, n):
             raise ValueError("minibatch training needs perms of shape (C, epochs, n)")
         rows = np.arange(C)[:, None]
-        for e in range(epochs):
-            for start in range(0, n - batch_size + 1, batch_size):
-                idx = perms[:, e, start:start + batch_size]
-                mb_feat = features[rows, idx]
-                mb_onehot = _onehot_stack(labels[rows, idx], k)
-                layers = _batched_step(layers, mb_feat, mb_onehot, eta)
-
-    flat = np.empty((C, param_count(config)))
-    offset = 0
-    for w, b in layers:
-        size = w.shape[1] * w.shape[2]
-        flat[:, offset:offset + size] = w.reshape(C, size)
-        offset += size
-        flat[:, offset:offset + w.shape[2]] = b
-        offset += w.shape[2]
-    return flat
+        starts = range(0, n - batch_size + 1, batch_size)
+        picks = (perms[:, e, s:s + batch_size] for e in range(epochs) for s in starts)
+        batches = ((features[rows, idx], onehot[rows, idx]) for idx in picks)
+    layers = [(np.repeat(w[None], C, axis=0), np.repeat(b[None], C, axis=0))
+              for w, b in unflatten(params, config)]
+    for batch_features, batch_targets in batches:
+        layers = [(w - eta * gw, b - eta * gb) for (w, b), (gw, gb)
+                  in zip(layers, _grads(layers, batch_features, batch_targets))]
+    return _flatten(layers)

@@ -13,7 +13,7 @@ contribution update lands in round 2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,9 +27,9 @@ from .defense import (AuditMatrix, ContributionLedger, contribution_step,
                       eliminate_low_contributors, false_positive_rate)
 from .model import (ModelConfig, accuracy, backward, epoch_permutations,
                     init_params, param_count, train_clients)
-from .privacy import (DLGConfig, PrivacyConfig, ReconstructionDivergedError,
-                      add_gaussian_noise, apply_privacy, dlg_reconstruct,
-                      prune_update, reconstruction_mse, DEFENDED_MSE_THRESHOLD)
+from .privacy import (DLGConfig, ReconstructionDivergedError,
+                      apply_privacy, dlg_reconstruct, reconstruction_mse,
+                      DEFENDED_MSE_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -245,19 +245,18 @@ class Simulation:
         return aggregation.signsgd_aggregate(pseudo, self.config.eta)
 
     def _compute_updates(self, t: int, active: list[Client]) -> dict[int, np.ndarray]:
-        """Per-client raw updates; active fair clients train as one batch
-        (bitwise-equal to per-client training, see model.train_clients)."""
+        """Per-client raw updates; the active fair clients train as one stack
+        (model.train_clients), every other client through its compute_update."""
         cfg = self.config
         updates: dict[int, np.ndarray] = {}
         fair_active = [c for c in active if c.kind == "fair"]
-        if len(fair_active) > 1 and cfg.local_epochs > 0:
+        if fair_active:
             features = np.stack([c.shard.features for c in fair_active])
             labels = np.stack([c.shard.labels for c in fair_active])
             if cfg.local_batch_size is None:
                 perms = None
             else:
-                # shuffles drawn per client from its own stream, in id order,
-                # exactly as the per-client path would draw them
+                # shuffles drawn per client from its own stream, in id order
                 perms = np.stack([
                     epoch_permutations(len(c.shard), cfg.local_epochs,
                                        self.client_rngs[c.id])
@@ -267,13 +266,11 @@ class Simulation:
                                     cfg.local_batch_size)
             for i, c in enumerate(fair_active):
                 updates[c.id] = trained[i] - self.params
-            rest = [c for c in active if c.kind != "fair"]
-        else:
-            rest = active
-        for c in rest:
-            updates[c.id] = c.compute_update(t, self.params, self.alloc, cfg.model,
-                                             cfg.eta, cfg.local_epochs,
-                                             self.client_rngs[c.id])
+        for c in active:
+            if c.kind != "fair":
+                updates[c.id] = c.compute_update(t, self.params, self.alloc, cfg.model,
+                                                 cfg.eta, cfg.local_epochs,
+                                                 self.client_rngs[c.id])
         return {c.id: updates[c.id] for c in active}
 
     def run_round(self) -> RoundLog:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fedaudit.cli import main
+from fedaudit.config import load_config
 
 RUN_CONFIG = {
     "seed": 5,
@@ -39,6 +40,21 @@ class TestRun:
                                        "defense": {"kind": "pass", "beta": 0.5}})
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert "defense.beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("rounds", "3"), ("seed", -1),
+                                              ("local_epochs", True), ("eta", "0.1")])
+    def test_bad_top_level_scalar_exits_1(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path, {**RUN_CONFIG, field: value})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert f"{field}: must be" in capsys.readouterr().err
+
+    def test_local_batch_size_from_config_file(self, tmp_path):
+        path = write_config(tmp_path, {**RUN_CONFIG, "local_batch_size": 5})
+        config, _ = load_config(path)
+        assert config.local_batch_size == 5
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        assert (out / "rounds.csv").exists()
 
     def test_run_twice_identical_outputs(self, tmp_path):
         path = write_config(tmp_path, RUN_CONFIG)

@@ -5,10 +5,11 @@ import struct
 import numpy as np
 import pytest
 
+from fedaudit.clients import fair_update
 from fedaudit.data import (BadMagicError, CountMismatchError, Dataset,
                            PartitionSpec, TruncatedFileError, generate_synthetic,
                            load_idx, partition)
-from fedaudit.model import ModelConfig, accuracy, init_params, train
+from fedaudit.model import ModelConfig, accuracy, init_params
 
 
 def write_idx_images(path, images):
@@ -47,7 +48,8 @@ class TestSynthetic:
     def test_separable_data_trains_to_high_accuracy(self):
         ds = generate_synthetic(2, 2, 200, 10.0, 1)
         cfg = ModelConfig(2, (), 2)
-        params = train(init_params(cfg, 0), cfg, ds, 0.1, 100)
+        params = init_params(cfg, 0)
+        params = params + fair_update(params, cfg, ds, 0.1, 100)
         assert accuracy(params, cfg, ds) >= 0.99
 
     def test_invalid_counts_rejected(self):

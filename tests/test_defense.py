@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from fedaudit.config import ConfigError, DefenseSettings, ExperimentConfig
 from fedaudit.data import generate_synthetic
-from fedaudit.defense import (AuditDefenseConfig, ContributionLedger,
-                              CosineDefenseConfig, audit_peer_update,
+from fedaudit.defense import (ContributionLedger, audit_peer_update,
                               contribution_step, cosine_contribution_step,
                               cosine_similarity, defense_success_rate,
                               eliminate_low_contributors, false_positive_rate)
@@ -128,8 +128,8 @@ class TestElimination:
         assert eliminated_by_beta[1.0] >= eliminated_by_beta[1.75] >= eliminated_by_beta[3.0]
 
     def test_beta_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            AuditDefenseConfig(beta=0.5)
+        with pytest.raises(ConfigError, match="defense.beta"):
+            ExperimentConfig(defense=DefenseSettings(beta=0.5)).validate()
         with pytest.raises(ValueError):
             eliminate_low_contributors(ContributionLedger({0: 1.0}), 0.9, 1)
 
@@ -166,8 +166,8 @@ class TestCosineReputation:
         assert c > 1.0 / (3 * 10)  # never crosses the default cutoff
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CosineDefenseConfig(alpha=1.5)
+        with pytest.raises(ConfigError, match="defense.alpha"):
+            ExperimentConfig(defense=DefenseSettings(kind="rffl", alpha=1.5)).validate()
 
 
 class TestMetrics:

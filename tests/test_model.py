@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from fedaudit.clients import fair_update
 from fedaudit.data import Dataset, generate_synthetic
 from fedaudit.model import (AdamState, ModelConfig, accuracy, adam_step, backward,
                             backward_soft, epoch_permutations, forward_loss,
-                            init_params, param_count, sgd_step, train,
-                            train_clients, train_minibatch, unflatten)
+                            init_params, param_count, sgd_step, train_clients,
+                            unflatten)
 
 
 def fd_gradient(params, config, batch, step=1e-5):
@@ -191,15 +192,15 @@ class TestSgd:
         data = generate_synthetic(2, 2, 40, 10.0, 0)
         params = init_params(cfg, 0)
         loss0, _ = forward_loss(params, cfg, data)
-        params = train(params, cfg, data, 0.1, 50)
+        params = params + fair_update(params, cfg, data, 0.1, 50)
         loss50, _ = forward_loss(params, cfg, data)
         assert loss50 < loss0
 
     def test_training_deterministic(self):
         cfg = ModelConfig(3, (4,), 2)
         data = generate_synthetic(2, 3, 30, 2.0, 1)
-        a = train(init_params(cfg, 5), cfg, data, 0.1, 20)
-        b = train(init_params(cfg, 5), cfg, data, 0.1, 20)
+        a = fair_update(init_params(cfg, 5), cfg, data, 0.1, 20)
+        b = fair_update(init_params(cfg, 5), cfg, data, 0.1, 20)
         assert np.array_equal(a, b)
 
 
@@ -235,6 +236,7 @@ class TestAdam:
 
 class TestBatchedTraining:
     def test_full_batch_bitwise_equals_single(self):
+        # a stack of C clients trains exactly as each client alone (C = 1)
         for hidden in ((), (5,)):
             cfg = ModelConfig(3, hidden, 6)
             p0 = init_params(cfg, 1)
@@ -242,12 +244,24 @@ class TestBatchedTraining:
             feats = rng.standard_normal((7, 15, 3))
             labels = rng.integers(0, 6, (7, 15))
             batched = train_clients(p0, cfg, feats, labels, 0.1, 25)
-            singles = np.stack([
-                train(p0, cfg, Dataset(feats[i], labels[i], 6), 0.1, 25)
+            singles = np.concatenate([
+                train_clients(p0, cfg, feats[i:i + 1], labels[i:i + 1], 0.1, 25)
                 for i in range(7)])
             assert np.array_equal(batched, singles)
 
+    def test_one_step_bitwise_equals_sgd_step(self):
+        for hidden in ((), (4,), (5, 3)):
+            cfg = ModelConfig(4, hidden, 3)
+            p0 = init_params(cfg, 6)
+            batch = small_batch(cfg, 11, seed=7)
+            stepped = train_clients(p0, cfg, batch.features[None],
+                                    batch.labels[None], 0.1, 1)
+            assert np.array_equal(stepped[0],
+                                  sgd_step(p0, backward(p0, cfg, batch), 0.1))
+
     def test_minibatch_bitwise_equals_single(self):
+        # the oracle: backward + sgd_step over the gathered minibatches, with
+        # each epoch's remainder smaller than the batch size dropped
         cfg = ModelConfig(4, (), 5)
         p0 = init_params(cfg, 3)
         rng = np.random.default_rng(4)
@@ -257,8 +271,11 @@ class TestBatchedTraining:
         perms = np.stack([epoch_permutations(n, epochs, np.random.default_rng(50 + i))
                           for i in range(C)])
         batched = train_clients(p0, cfg, feats, labels, 0.1, epochs, perms, b)
-        singles = np.stack([
-            train_minibatch(p0, cfg, Dataset(feats[i], labels[i], 5), 0.1,
-                            perms[i], b)
-            for i in range(C)])
-        assert np.array_equal(batched, singles)
+        for i in range(C):
+            params = p0
+            for perm in perms[i]:
+                for start in range(0, n - b + 1, b):
+                    idx = perm[start:start + b]
+                    mini = Dataset(feats[i][idx], labels[i][idx], 5)
+                    params = sgd_step(params, backward(params, cfg, mini), 0.1)
+            assert np.array_equal(batched[i], params)
