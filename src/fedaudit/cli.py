@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .config import ConfigError, load_config
+from .config import ConfigError, check_field_types, load_config
 from .reporting import (dlg_csv_text, dlg_json_text, result_json_text,
                         rounds_csv_text, summary_dict, sweep_csv_text,
                         sweep_json_text, write_text)
@@ -57,16 +57,16 @@ def _dlg_config(raw_section: dict, seed_override: int | None) -> DLGExperimentCo
     if unknown:
         raise ConfigError(f"dlg: unknown keys {sorted(unknown)}")
     kwargs = dict(raw_section)
+    if seed_override is not None:
+        kwargs["seed"] = seed_override
+    check_field_types(DLGExperimentConfig, kwargs, "dlg")
     for key in ("noise_variances", "prune_rates", "hidden_dims"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])
     try:
-        cfg = DLGExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"dlg: {exc}") from exc
-    if seed_override is not None:
-        cfg = replace(cfg, seed=seed_override)
-    return cfg
+        return DLGExperimentConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"dlg.{exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:

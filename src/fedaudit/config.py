@@ -25,10 +25,49 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message lists field paths."""
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _is_int(value, minimum: int) -> bool:
     """An integer (bool excluded) no smaller than minimum."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= minimum)
+    return _is_integer(value) and value >= minimum
+
+
+def _is_list_of(test):
+    return lambda value: isinstance(value, (list, tuple)) and all(map(test, value))
+
+
+# JSON value test and its description, per dataclass field annotation
+_FIELD_TYPES = {
+    "int": (_is_integer, "an integer"),
+    "float": (_is_number, "a number"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "tuple[int, ...]": (_is_list_of(_is_integer), "a list of integers"),
+    "tuple[float, ...]": (_is_list_of(_is_number), "a list of numbers"),
+}
+
+
+def check_field_types(cls, raw: dict, path: str) -> None:
+    """Reject raw JSON values that do not match their dataclass field's
+    annotation ("X | None" also admits null), naming each field path, so no
+    constructor or range check ever compares a string or a list."""
+    problems = []
+    for f in fields(cls):
+        if f.name not in raw:
+            continue
+        value, kind = raw[f.name], f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        test, expected = _FIELD_TYPES.get(kind, (None, None))
+        if test is not None and not test(value):
+            problems.append(f"{path}.{f.name}: must be {expected}")
+    if problems:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -168,10 +207,13 @@ class ExperimentConfig:
 
 
 def _build(cls, raw: dict, path: str):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
     known = {f.name for f in fields(cls)}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    check_field_types(cls, raw, path)
     kwargs = dict(raw)
     if cls is ModelConfig and "hidden_dims" in kwargs:
         kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])

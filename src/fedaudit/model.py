@@ -9,6 +9,7 @@ coordinate-wise).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,11 +41,24 @@ class ModelConfig:
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_dims, self.num_classes)
 
+    @cached_property
+    def layout(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Per layer (weights start, bias start, bias end, fan_in, fan_out)
+        in the flat parameter vector; computed once, since unflatten runs
+        in every training step and audit."""
+        cuts = []
+        offset = 0
+        dims = self.layer_dims
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            bias = offset + fan_in * fan_out
+            cuts.append((offset, bias, bias + fan_out, fan_in, fan_out))
+            offset = bias + fan_out
+        return tuple(cuts)
+
 
 def param_count(config: ModelConfig) -> int:
     """Total number of parameters (weights plus biases across layers)."""
-    dims = config.layer_dims
-    return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1))
+    return config.layout[-1][2]
 
 
 def init_params(config: ModelConfig, seed: int) -> np.ndarray:
@@ -61,21 +75,15 @@ def init_params(config: ModelConfig, seed: int) -> np.ndarray:
 
 
 def unflatten(params: np.ndarray, config: ModelConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat parameter vector into per-layer (W, b) views."""
-    if params.shape != (param_count(config),):
+    """Split a flat parameter vector into per-layer (W, b) views; a (T, d)
+    stack of vectors gives (T, ...)-stacked views."""
+    lead = params.shape[:-1]
+    if len(lead) > 1 or params.shape[-1:] != (param_count(config),):
         raise ValueError(
-            f"parameter vector has length {params.shape}, model needs {param_count(config)}")
-    dims = config.layer_dims
-    layers = []
-    offset = 0
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        w = params[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        b = params[offset:offset + fan_out]
-        offset += fan_out
-        layers.append((w, b))
-    return layers
+            f"parameter vector has shape {params.shape}, model needs {param_count(config)}")
+    return [(params[..., w_start:b_start].reshape(*lead, fan_in, fan_out),
+             params[..., b_start:b_end])
+            for w_start, b_start, b_end, fan_in, fan_out in config.layout]
 
 
 def _check_batch(config: ModelConfig, batch: Dataset):
@@ -88,14 +96,21 @@ def _check_batch(config: ModelConfig, batch: Dataset):
 
 def _forward(layers, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Layer inputs [x, h1, ...] and logits for (n, d) features, or for a
-    (C, n, d) stack under (C, ...)-stacked layers."""
+    (C, n, d) stack under (C, ...)-stacked layers. (n, d) features under
+    (T, ...)-stacked layers give (T, n, ...): T parameter vectors scored on
+    one dataset. Bias and tanh are applied in place, because a second
+    temporary of the output's size costs more than the arithmetic."""
     hidden = [features]
     h = features
     for w, b in layers[:-1]:
-        h = np.tanh(h @ w + b[..., None, :])
+        h = h @ w
+        h += b[..., None, :]
+        np.tanh(h, out=h)
         hidden.append(h)
     w_out, b_out = layers[-1]
-    return hidden, h @ w_out + b_out[..., None, :]
+    logits = h @ w_out
+    logits += b_out[..., None, :]
+    return hidden, logits
 
 
 def _grads(layers, features: np.ndarray,
@@ -145,11 +160,15 @@ def forward_loss(params: np.ndarray, config: ModelConfig,
     return loss, acc
 
 
-def accuracy(params: np.ndarray, config: ModelConfig, dataset: Dataset) -> float:
-    """Fraction of argmax-correct predictions on the dataset."""
+def accuracy(params: np.ndarray, config: ModelConfig,
+             dataset: Dataset) -> float | np.ndarray:
+    """Fraction of argmax-correct predictions on the dataset. A (T, d) stack
+    of parameter vectors gives the (T,) array of each row's accuracy, equal
+    bitwise to scoring the rows one at a time."""
     _check_batch(config, dataset)
     _, logits = _forward(unflatten(params, config), dataset.features)
-    return float((logits.argmax(axis=1) == dataset.labels).mean())
+    hits = (logits.argmax(axis=-1) == dataset.labels).mean(axis=-1)
+    return hits if params.ndim == 2 else float(hits)
 
 
 def backward(params: np.ndarray, config: ModelConfig, batch: Dataset) -> np.ndarray:

@@ -13,6 +13,7 @@ contribution update lands in round 2.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -189,15 +190,20 @@ class Simulation:
                     if not c.eliminated and c.audit_dataset is not None]
         model = self.config.model
         alpha = self.config.defense.alpha
-        acc_curr = {a.id: accuracy(theta_then, model, a.audit_dataset)
-                    for a in auditors}
+        # row 0 is theta_then, row j is theta_before + the j-th upload; each
+        # auditor scores the whole stack in one accuracy call
+        uploads = np.stack(list(uploads_prev.values()))
+        stack = np.vstack([theta_then, theta_before + uploads])
+        scores = {a.id: accuracy(stack, model, a.audit_dataset).tolist()
+                  for a in auditors}
         matrix = AuditMatrix(round=self.round_index)
-        for target_id, upload in uploads_prev.items():
-            solo = theta_before + upload
+        # filled target-major: reports_for() follows auditor insertion order,
+        # and contribution_step sums the reports in that order
+        for j, target_id in enumerate(uploads_prev, start=1):
             for a in auditors:
                 if a.id != target_id:
-                    matrix.add(a.id, target_id,
-                               acc_curr[a.id] - accuracy(solo, model, a.audit_dataset))
+                    acc = scores[a.id]
+                    matrix.add(a.id, target_id, acc[0] - acc[j])
             self.ledger.contributions[target_id] = contribution_step(
                 self.ledger.contributions[target_id],
                 matrix.reports_for(target_id), alpha)
@@ -207,9 +213,7 @@ class Simulation:
         else:
             n_thr = len(self.ledger.active_ids())
         newly = eliminate_low_contributors(self.ledger, self.config.defense.beta, n_thr)
-        for c in self.clients:
-            if c.id in newly:
-                c.eliminated = True
+        self._mark_eliminated(newly)
         return newly
 
     def _rffl_score(self, uploads: dict[int, np.ndarray], delta: np.ndarray):
@@ -223,10 +227,13 @@ class Simulation:
         newly = {cid for cid in self.ledger.active_ids()
                  if self.ledger.contributions[cid] < threshold}
         self.ledger.eliminated |= newly
+        self._mark_eliminated(newly)
+        return newly
+
+    def _mark_eliminated(self, newly: set[int]) -> None:
         for c in self.clients:
             if c.id in newly:
                 c.eliminated = True
-        return newly
 
     def _aggregate(self, uploads: dict[int, np.ndarray],
                    active: list[Client]) -> np.ndarray:
@@ -418,9 +425,14 @@ class DLGExperimentConfig:
 
     def __post_init__(self):
         if self.instances < 1:
-            raise ValueError("instances must be >= 1")
+            raise ValueError("instances: must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations: must be >= 1")
         if self.batch_samples < 1:
-            raise ValueError("batch_samples must be >= 1")
+            raise ValueError("batch_samples: must be >= 1")
+        if (not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool)
+                or self.seed < 0):
+            raise ValueError("seed: must be an integer >= 0")
 
     @property
     def model(self) -> ModelConfig:

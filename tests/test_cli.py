@@ -48,6 +48,25 @@ class TestRun:
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert f"{field}: must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, fields, path", [
+        ("roster", {"fair": "2"}, "roster.fair"),
+        ("defense", {"alpha": "x"}, "defense.alpha"),
+        ("data", {"samples_per_client": "20"}, "data.samples_per_client"),
+        ("aggregator", {"trim_fraction": [0.1]}, "aggregator.trim_fraction"),
+        ("privacy", {"noise_variance": "x"}, "privacy.noise_variance"),
+        ("model", {"hidden_dims": 4}, "model.hidden_dims"),
+    ])
+    def test_bad_nested_field_exits_1(self, tmp_path, capsys, section, fields, path):
+        payload = {**RUN_CONFIG, section: {**RUN_CONFIG[section], **fields}}
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert f"{path}: must be" in capsys.readouterr().err
+
+    def test_non_object_section_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**RUN_CONFIG, "roster": 5})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert "roster: expected a JSON object" in capsys.readouterr().err
+
     def test_local_batch_size_from_config_file(self, tmp_path):
         path = write_config(tmp_path, {**RUN_CONFIG, "local_batch_size": 5})
         config, _ = load_config(path)
@@ -145,3 +164,16 @@ class TestDlg:
         path = write_config(tmp_path, payload)
         assert main(["dlg", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "dlg" in capsys.readouterr().err
+
+    def test_dlg_zero_iterations_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**RUN_CONFIG, "dlg": {"iterations": 0}})
+        assert main(["dlg", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "dlg.iterations: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, argv", [({"seed": -1}, []),
+                                               ({"seed": "1"}, []),
+                                               ({}, ["--seed", "-3"])])
+    def test_dlg_bad_seed_exits_1(self, tmp_path, capsys, section, argv):
+        path = write_config(tmp_path, {**RUN_CONFIG, "dlg": section})
+        assert main(["dlg", "--config", path, "--out", str(tmp_path / "o"), *argv]) == 1
+        assert "dlg.seed: must be an integer" in capsys.readouterr().err

@@ -132,6 +132,31 @@ class TestForward:
         batch = Dataset(np.zeros((5, 2)), np.zeros(5, dtype=int), 2)
         assert accuracy(params, cfg, batch) == 0.0
 
+    @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+    @pytest.mark.parametrize("rows", [1, 6])
+    def test_stacked_accuracy_bitwise_equals_rows(self, hidden, rows):
+        cfg = ModelConfig(4, hidden, 3)
+        batch = small_batch(cfg, 30, seed=2)
+        rng = np.random.default_rng(rows)
+        stack = init_params(cfg, 1) + rng.standard_normal((rows, param_count(cfg)))
+        stack[0] = 0.0  # all-zero parameters: every logit ties, argmax takes class 0
+        got = accuracy(stack, cfg, batch)
+        assert got.shape == (rows,)
+        assert got.tolist() == [accuracy(row, cfg, batch) for row in stack]
+        assert got[0] == np.mean(batch.labels == 0)
+
+    def test_unflatten_stack_slices_equal_rows(self):
+        cfg = ModelConfig(4, (5,), 3)
+        stack = np.arange(3 * param_count(cfg), dtype=float).reshape(3, -1)
+        stacked = unflatten(stack, cfg)
+        for i, row in enumerate(stack):
+            for (w, b), (w_row, b_row) in zip(stacked, unflatten(row, cfg)):
+                assert np.array_equal(w[i], w_row) and np.array_equal(b[i], b_row)
+        with pytest.raises(ValueError):
+            unflatten(stack[None], cfg)
+        with pytest.raises(ValueError):
+            unflatten(stack[:, 1:], cfg)
+
     def test_dim_mismatch_rejected(self):
         cfg = ModelConfig(4, (), 3)
         batch = small_batch(ModelConfig(5, (), 3), 4)

@@ -11,6 +11,7 @@ from fedaudit.config import (AggregatorConfig, ConfigError, DataConfig,
                              DefenseSettings, ExperimentConfig, RosterConfig,
                              config_from_dict)
 from fedaudit.data import generate_synthetic, partition, PartitionSpec
+from fedaudit.defense import AuditMatrix, audit_peer_update
 from fedaudit.model import ModelConfig, init_params, param_count
 from fedaudit.privacy import PrivacyConfig
 from fedaudit.reporting import rounds_csv_text
@@ -265,6 +266,11 @@ class TestDlgGrid:
             assert cell.defended == (cell.median_mse > 1.49)
             assert cell.instances + cell.diverged == 3
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, True])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed: must be an integer >= 0"):
+            DLGExperimentConfig(seed=seed)
+
     def test_grid_deterministic(self):
         cfg = DLGExperimentConfig(noise_variances=(1e-2,), prune_rates=(0.5,),
                                   instances=2, iterations=40, input_dim=4,
@@ -291,6 +297,33 @@ class TestAuditMatrix:
         for auditor, row in matrix.entries.items():
             assert auditor not in row
             assert set(row) == {c.id for c in sim.clients} - {auditor}
+
+    def test_stacked_audit_equals_per_pair_reports(self):
+        # selfish riders hold public data, so they audit too; every report
+        # must equal the one-pair reference, in the same insertion order
+        cfg = standard_config(fair=4, plain=1, selfish=2, seed=3, rounds=5,
+                              local_epochs=2)
+        sim = Simulation(cfg)
+        selfish = {c.id for c in sim.clients if c.kind == "selfish"}
+        for _ in range(cfg.rounds):
+            pending = sim._pending_audit
+            auditors = [c for c in sim.clients
+                        if not c.eliminated and c.audit_dataset is not None]
+            sim.run_round()
+            if pending is None:
+                continue
+            uploads, theta_then, theta_before = pending
+            expected = AuditMatrix(round=sim.last_audit_matrix.round)
+            for target_id, upload in uploads.items():
+                for a in auditors:
+                    if a.id != target_id:
+                        expected.add(a.id, target_id, audit_peer_update(
+                            a.audit_dataset, cfg.model, theta_then, theta_before, upload))
+            entries = sim.last_audit_matrix.entries
+            assert selfish <= set(entries)
+            assert list(entries) == list(expected.entries)
+            for auditor, row in expected.entries.items():
+                assert list(entries[auditor].items()) == list(row.items())
 
 
 class TestOtherRiderVariants:
