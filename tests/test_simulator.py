@@ -91,13 +91,18 @@ class TestRoundMechanics:
                                               if r <= log.round)
             assert log.n_active == expected
 
-    def test_halts_when_everyone_eliminated(self):
+    @pytest.mark.parametrize("roster", [RosterConfig(fair=4, plain=1),
+                                        RosterConfig(fair=2)])
+    def test_halts_when_everyone_eliminated(self, roster):
+        # the cosine defense never suspends elimination: two clients are
+        # both removed in round 0, below PASS's minimum of three active
         cfg = tiny_config(defense=DefenseSettings(kind="rffl", rffl_threshold=2.0),
-                          rounds=5)
+                          roster=roster, rounds=5)
         result = run_experiment(cfg)
         assert result.halted_early
         assert len(result.rounds) < 5
-        assert set(result.eliminated) == {c for c in range(5)}
+        assert result.rounds[0].newly_eliminated == tuple(range(roster.total))
+        assert set(result.eliminated) == set(range(roster.total))
 
     def test_metric_consistency(self):
         cfg = standard_config(fair=6, plain=3, seed=2, rounds=40)
