@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, check_field_types, load_config
+from .config import ConfigError, build_section, load_config
 from .reporting import (dlg_csv_text, dlg_json_text, result_json_text,
                         rounds_csv_text, summary_dict, sweep_csv_text,
                         sweep_json_text, write_text)
@@ -49,24 +49,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
-
-
-def _dlg_config(raw_section: dict, seed_override: int | None) -> DLGExperimentConfig:
-    known = {f.name for f in fields(DLGExperimentConfig)}
-    unknown = set(raw_section) - known
-    if unknown:
-        raise ConfigError(f"dlg: unknown keys {sorted(unknown)}")
-    kwargs = dict(raw_section)
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    check_field_types(DLGExperimentConfig, kwargs, "dlg")
-    for key in ("noise_variances", "prune_rates", "hidden_dims"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    try:
-        return DLGExperimentConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"dlg.{exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,10 +88,9 @@ def main(argv: list[str] | None = None) -> int:
 
         # dlg
         section = raw.get("dlg", {})
-        if not isinstance(section, dict):
-            raise ConfigError("dlg: config section must be an object")
-        dlg_cfg = _dlg_config(section, args.seed)
-        cells = run_dlg_experiment(dlg_cfg)
+        if args.seed is not None and isinstance(section, dict):
+            section = {**section, "seed": args.seed}
+        cells = run_dlg_experiment(build_section(DLGExperimentConfig, section, "dlg"))
         if args.format == "csv":
             write_text(out_dir / "dlg_grid.csv", dlg_csv_text(cells))
         else:

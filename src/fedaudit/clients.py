@@ -39,39 +39,19 @@ def fair_update(global_params: np.ndarray, config: ModelConfig, shard: Dataset,
     return trained[0] - global_params
 
 
-def plain_fr_update(prev_global_update: np.ndarray | None, dim: int) -> np.ndarray:
-    """Echo the allocated global update; zero vector before one exists."""
-    if prev_global_update is None:
-        return np.zeros(dim)
-    return prev_global_update.copy()
-
-
-def disguised_fr_update(prev_global_update: np.ndarray | None, dim: int,
-                        noise_variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Echo plus i.i.d. Gaussian noise of the given variance."""
-    base = plain_fr_update(prev_global_update, dim)
-    if noise_variance == 0:
-        return base
-    return base + rng.normal(0.0, np.sqrt(noise_variance), dim)
-
-
-def adam_echo_update(prev_global_update: np.ndarray,
-                     state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One Adam step on the allocated update, with its own values as the
-    pseudo-gradient. This is how the Adam-evolved free riders track the global
-    trajectory without computing anything."""
-    return adam_step(state, prev_global_update, prev_global_update)
-
-
 class Client:
-    """Base participant: id, elimination flag, and an optional audit dataset."""
+    """Base participant: an id and an optional audit dataset. Whether it is
+    still in the federation is the ledger's record (defense.ContributionLedger).
+
+    Each behaviour class defines its own compute_update rather than
+    inheriting one, so wrapping one class's method (to trace it, say) affects
+    that class alone."""
 
     kind = "fair"
     declared_samples = 1  # nominal FedAvg weight; free riders forge the fair count
 
     def __init__(self, client_id: int):
         self.id = client_id
-        self.eliminated = False
 
     @property
     def audit_dataset(self) -> Dataset | None:
@@ -113,7 +93,10 @@ class PlainFreeRider(Client):
 
     def compute_update(self, round_index, global_params, prev_global_update,
                        config, eta, local_epochs, rng):
-        return plain_fr_update(prev_global_update, global_params.shape[0])
+        """Echo the allocated global update; zero vector before one exists."""
+        if prev_global_update is None:
+            return np.zeros(global_params.shape[0])
+        return prev_global_update.copy()
 
 
 class DisguisedFreeRider(Client):
@@ -129,11 +112,37 @@ class DisguisedFreeRider(Client):
 
     def compute_update(self, round_index, global_params, prev_global_update,
                        config, eta, local_epochs, rng):
-        return disguised_fr_update(prev_global_update, global_params.shape[0],
-                                   self.noise_variance, rng)
+        """The plain echo plus i.i.d. Gaussian noise of the given variance."""
+        dim = global_params.shape[0]
+        echo = np.zeros(dim) if prev_global_update is None else prev_global_update.copy()
+        if self.noise_variance != 0:
+            echo += rng.normal(0.0, np.sqrt(self.noise_variance), dim)
+        return echo
 
 
-class AnonymousFreeRider(Client):
+class _AdamEchoRider(Client):
+    """After its first upload, one Adam step per round on the allocated update,
+    with its own values as the pseudo-gradient. This is how the Adam-evolved
+    free riders track the global trajectory without computing anything."""
+
+    def __init__(self, client_id: int, adam_lr: float, adam_decay: float,
+                 declared_samples: int):
+        super().__init__(client_id)
+        self.adam_lr = adam_lr
+        self.adam_decay = adam_decay
+        self.declared_samples = declared_samples
+        self.adam_state: AdamState | None = None
+
+    def _adam_echo(self, prev_global_update: np.ndarray) -> np.ndarray:
+        if self.adam_state is None:
+            self.adam_state = AdamState.fresh(prev_global_update.shape[0],
+                                              self.adam_lr, self.adam_decay)
+        evolved, self.adam_state = adam_step(self.adam_state, prev_global_update,
+                                             prev_global_update)
+        return evolved
+
+
+class AnonymousFreeRider(_AdamEchoRider):
     """No data at all: pure noise on round 0, Adam-evolved echoes afterwards."""
 
     kind = "anonymous"
@@ -141,29 +150,18 @@ class AnonymousFreeRider(Client):
     def __init__(self, client_id: int, adam_lr: float = FR_ADAM_LR,
                  adam_decay: float = FR_ADAM_DECAY, init_noise_variance: float = 1e-2,
                  declared_samples: int = 1):
-        super().__init__(client_id)
-        self.adam_lr = adam_lr
-        self.adam_decay = adam_decay
+        super().__init__(client_id, adam_lr, adam_decay, declared_samples)
         self.init_noise_variance = init_noise_variance
-        self.declared_samples = declared_samples
-        self.adam_state: AdamState | None = None
-
-    def _evolve(self, prev_global_update: np.ndarray) -> np.ndarray:
-        if self.adam_state is None:
-            self.adam_state = AdamState.fresh(prev_global_update.shape[0],
-                                              self.adam_lr, self.adam_decay)
-        evolved, self.adam_state = adam_echo_update(prev_global_update, self.adam_state)
-        return evolved
 
     def compute_update(self, round_index, global_params, prev_global_update,
                        config, eta, local_epochs, rng):
         if prev_global_update is None:
             return rng.normal(0.0, np.sqrt(self.init_noise_variance),
                               global_params.shape[0])
-        return self._evolve(prev_global_update)
+        return self._adam_echo(prev_global_update)
 
 
-class SelfishFreeRider(Client):
+class SelfishFreeRider(_AdamEchoRider):
     """Owns a public dataset: one genuine pretrained update on round 0, then
     Adam-evolved echoes. Audits honestly with the public data to stay
     protocol-conformant."""
@@ -173,15 +171,12 @@ class SelfishFreeRider(Client):
     def __init__(self, client_id: int, public_data: Dataset,
                  pretrain_epochs: int = 5, adam_lr: float = FR_ADAM_LR,
                  adam_decay: float = FR_ADAM_DECAY, declared_samples: int | None = None):
-        super().__init__(client_id)
         if len(public_data) == 0:
             raise ValueError("selfish free rider needs non-empty public data")
+        super().__init__(client_id, adam_lr, adam_decay,
+                         len(public_data) if declared_samples is None else declared_samples)
         self.public_data = public_data
         self.pretrain_epochs = pretrain_epochs
-        self.adam_lr = adam_lr
-        self.adam_decay = adam_decay
-        self.declared_samples = declared_samples if declared_samples is not None else len(public_data)
-        self.adam_state: AdamState | None = None
 
     @property
     def audit_dataset(self) -> Dataset | None:
@@ -192,11 +187,7 @@ class SelfishFreeRider(Client):
         if round_index == 0 or prev_global_update is None:
             return fair_update(global_params, config, self.public_data, eta,
                                self.pretrain_epochs)
-        if self.adam_state is None:
-            self.adam_state = AdamState.fresh(prev_global_update.shape[0],
-                                              self.adam_lr, self.adam_decay)
-        evolved, self.adam_state = adam_echo_update(prev_global_update, self.adam_state)
-        return evolved
+        return self._adam_echo(prev_global_update)
 
 
 FREE_RIDER_KINDS = ("plain", "disguised", "anonymous", "selfish")

@@ -52,20 +52,20 @@ _FIELD_TYPES = {
 }
 
 
-def check_field_types(cls, raw: dict, path: str) -> None:
-    """Reject raw JSON values that do not match their dataclass field's
-    annotation ("X | None" also admits null), naming each field path, so no
-    constructor or range check ever compares a string or a list."""
+def check_types(annotations: dict[str, str], raw: dict, path: str) -> None:
+    """Reject raw JSON values that do not match their key's annotation
+    ("X | None" also admits null), naming each field path, so no constructor
+    or range check ever compares a string or a list."""
     problems = []
-    for f in fields(cls):
-        if f.name not in raw:
+    for name, annotation in annotations.items():
+        if name not in raw:
             continue
-        value, kind = raw[f.name], f.type.removesuffix(" | None")
-        if value is None and kind != f.type:
+        value, kind = raw[name], annotation.removesuffix(" | None")
+        if value is None and kind != annotation:
             continue
         test, expected = _FIELD_TYPES.get(kind, (None, None))
         if test is not None and not test(value):
-            problems.append(f"{path}.{f.name}: must be {expected}")
+            problems.append(f"{path}.{name}: must be {expected}")
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
 
@@ -206,21 +206,25 @@ class ExperimentConfig:
             raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
 
 
-def _build(cls, raw: dict, path: str):
+def build_section(cls, raw: dict, path: str):
+    """Build the dataclass `cls` from one JSON object: unknown keys and
+    mistyped values are rejected, lists become tuples for tuple fields, and
+    the constructor's own checks ("seed: must be ...") gain the path prefix."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    known = {f.name for f in fields(cls)}
-    unknown = set(raw) - known
+    annotations = {f.name: f.type for f in fields(cls)}
+    unknown = set(raw) - set(annotations)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    check_field_types(cls, raw, path)
-    kwargs = dict(raw)
-    if cls is ModelConfig and "hidden_dims" in kwargs:
-        kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
+    check_types(annotations, raw, path)
+    kwargs = {name: tuple(value) if annotations[name].startswith("tuple[") else value
+              for name, value in raw.items()}
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:  # a required field is missing
         raise ConfigError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -239,12 +243,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         eta=raw.get("eta", defaults.eta),
         local_epochs=raw.get("local_epochs", defaults.local_epochs),
         local_batch_size=raw.get("local_batch_size"),
-        model=_build(ModelConfig, raw["model"], "model") if "model" in raw else defaults.model,
-        data=_build(DataConfig, raw.get("data", {}), "data"),
-        roster=_build(RosterConfig, raw.get("roster", {}), "roster"),
-        aggregator=_build(AggregatorConfig, raw.get("aggregator", {}), "aggregator"),
-        defense=_build(DefenseSettings, raw.get("defense", {}), "defense"),
-        privacy=_build(PrivacyConfig, raw.get("privacy", {}), "privacy"),
+        model=(build_section(ModelConfig, raw["model"], "model")
+               if "model" in raw else defaults.model),
+        data=build_section(DataConfig, raw.get("data", {}), "data"),
+        roster=build_section(RosterConfig, raw.get("roster", {}), "roster"),
+        aggregator=build_section(AggregatorConfig, raw.get("aggregator", {}), "aggregator"),
+        defense=build_section(DefenseSettings, raw.get("defense", {}), "defense"),
+        privacy=build_section(PrivacyConfig, raw.get("privacy", {}), "privacy"),
     )
     cfg.validate()
     return cfg

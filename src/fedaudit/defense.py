@@ -46,11 +46,11 @@ class AuditMatrix:
 
 @dataclass
 class ContributionLedger:
-    """Per-client contribution scores, the eliminated set, per-round snapshots."""
+    """Per-client contribution scores and the eliminated set: the one record
+    of which clients are out."""
 
     contributions: dict[int, float]
     eliminated: set[int] = field(default_factory=set)
-    history: list[dict[int, float]] = field(default_factory=list)
 
     @classmethod
     def fresh(cls, client_ids: list[int], initial: float) -> "ContributionLedger":
@@ -59,8 +59,12 @@ class ContributionLedger:
     def active_ids(self) -> list[int]:
         return [cid for cid in self.contributions if cid not in self.eliminated]
 
-    def snapshot(self):
-        self.history.append(dict(self.contributions))
+    def eliminate_below(self, cutoff: float) -> set[int]:
+        """Eliminate every active client whose contribution is below cutoff,
+        permanently; returns the newly eliminated ids."""
+        newly = {cid for cid in self.active_ids() if self.contributions[cid] < cutoff}
+        self.eliminated |= newly
+        return newly
 
 
 def audit_peer_update(auditor_shard: Dataset, config: ModelConfig,
@@ -98,13 +102,9 @@ def eliminate_low_contributors(ledger: ContributionLedger, beta: float,
         raise ValueError("beta must be >= 1")
     if n_threshold < 1:
         raise ValueError("threshold denominator must be >= 1")
-    active = ledger.active_ids()
-    if len(active) < MIN_ACTIVE_FOR_ELIMINATION:
+    if len(ledger.active_ids()) < MIN_ACTIVE_FOR_ELIMINATION:
         return set()
-    cutoff = 1.0 / (beta * n_threshold)
-    newly = {cid for cid in active if ledger.contributions[cid] < cutoff}
-    ledger.eliminated |= newly
-    return newly
+    return ledger.eliminate_below(1.0 / (beta * n_threshold))
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

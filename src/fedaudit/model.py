@@ -31,11 +31,11 @@ class ModelConfig:
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
+            raise ValueError("input_dim: must be >= 1")
         if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
+            raise ValueError("num_classes: must be >= 2")
         if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden layer widths must be >= 1")
+            raise ValueError("hidden_dims: every width must be >= 1")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:

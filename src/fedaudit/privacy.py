@@ -40,11 +40,11 @@ class PrivacyConfig:
 
     def __post_init__(self):
         if self.noise_variance < 0:
-            raise ValueError("noise_variance must be >= 0")
+            raise ValueError("noise_variance: must be >= 0")
         if not 0 <= self.prune_rate < 1:
-            raise ValueError("prune_rate must lie in [0, 1)")
+            raise ValueError("prune_rate: must lie in [0, 1)")
         if self.prune_mode not in ("mask", "scale"):
-            raise ValueError(f"unknown prune_mode {self.prune_mode!r}")
+            raise ValueError(f"prune_mode: {self.prune_mode!r} not one of ('mask', 'scale')")
 
     @property
     def enabled(self) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 from . import aggregation
 from .clients import (AnonymousFreeRider, Client, DisguisedFreeRider, FairClient,
                       PlainFreeRider, SelfishFreeRider)
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, check_types
 from .data import Dataset, PartitionSpec, generate_synthetic, load_idx, partition
 from .defense import (AuditMatrix, ContributionLedger, contribution_step,
                       cosine_contribution_step, defense_success_rate,
@@ -183,11 +183,15 @@ class Simulation:
 
     # -- round phases ------------------------------------------------------
 
+    def _active_clients(self) -> list[Client]:
+        """The clients the ledger has not eliminated, in id order (a client's
+        id is its index in self.clients)."""
+        return [self.clients[cid] for cid in self.ledger.active_ids()]
+
     def _consume_audits(self):
         """Score the previous round's uploads and eliminate low contributors."""
         uploads_prev, theta_then, theta_before = self._pending_audit
-        auditors = [c for c in self.clients
-                    if not c.eliminated and c.audit_dataset is not None]
+        auditors = [c for c in self._active_clients() if c.audit_dataset is not None]
         model = self.config.model
         alpha = self.config.defense.alpha
         # row 0 is theta_then, row j is theta_before + the j-th upload; each
@@ -212,28 +216,19 @@ class Simulation:
             n_thr = self.initial_roster_size
         else:
             n_thr = len(self.ledger.active_ids())
-        newly = eliminate_low_contributors(self.ledger, self.config.defense.beta, n_thr)
-        self._mark_eliminated(newly)
-        return newly
+        return eliminate_low_contributors(self.ledger, self.config.defense.beta, n_thr)
 
     def _rffl_score(self, uploads: dict[int, np.ndarray], delta: np.ndarray):
+        """Cosine-reputation scores against this round's aggregate; unlike the
+        audit defense, elimination is never suspended."""
         alpha = self.config.defense.alpha
         for cid, upload in uploads.items():
             self.ledger.contributions[cid] = cosine_contribution_step(
                 self.ledger.contributions[cid], delta, upload, alpha)
-        threshold = self.config.defense.rffl_threshold
-        if threshold is None:
-            threshold = 1.0 / (3.0 * self.initial_roster_size)
-        newly = {cid for cid in self.ledger.active_ids()
-                 if self.ledger.contributions[cid] < threshold}
-        self.ledger.eliminated |= newly
-        self._mark_eliminated(newly)
-        return newly
-
-    def _mark_eliminated(self, newly: set[int]) -> None:
-        for c in self.clients:
-            if c.id in newly:
-                c.eliminated = True
+        cutoff = self.config.defense.rffl_threshold
+        if cutoff is None:
+            cutoff = 1.0 / (3.0 * self.initial_roster_size)
+        return self.ledger.eliminate_below(cutoff)
 
     def _aggregate(self, uploads: dict[int, np.ndarray],
                    active: list[Client]) -> np.ndarray:
@@ -288,7 +283,7 @@ class Simulation:
         if cfg.defense.kind == "pass" and self._pending_audit is not None:
             newly = self._consume_audits()
 
-        active = [c for c in self.clients if not c.eliminated]
+        active = self._active_clients()
         if not active:
             raise AllClientsEliminated("no active clients remain")
 
@@ -328,7 +323,6 @@ class Simulation:
             comm_scalars=comm,
         )
         self.logs.append(log)
-        self.ledger.snapshot()
         self.round_index += 1
         return log
 
@@ -359,7 +353,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 # -- parameter sweeps ------------------------------------------------------
 
-SWEEPABLE = ("beta", "gamma", "noise_variance", "fr_count")
+# each swept key takes a list of values of this type
+SWEEPABLE = {"beta": "tuple[float, ...]", "gamma": "tuple[float, ...]",
+             "noise_variance": "tuple[float, ...]", "fr_count": "tuple[int, ...]"}
 
 
 def _with_fr_count(config: ExperimentConfig, count: int) -> ExperimentConfig:
@@ -380,6 +376,7 @@ def sweep_experiment(base: ExperimentConfig, sweep: dict) -> list[dict]:
         raise ConfigError(f"sweep: unknown keys {sorted(unknown)}")
     if not sweep:
         raise ConfigError("sweep: at least one swept parameter required")
+    check_types(SWEEPABLE, sweep, "sweep")
     keys = [k for k in SWEEPABLE if k in sweep]
     rows = []
     for combo in itertools.product(*(sweep[k] for k in keys)):
@@ -394,7 +391,6 @@ def sweep_experiment(base: ExperimentConfig, sweep: dict) -> list[dict]:
                                                noise_variance=named["noise_variance"]))
         if "fr_count" in named:
             cfg = _with_fr_count(cfg, named["fr_count"])
-        cfg.validate()
         result = run_experiment(cfg)
         row = dict(named)
         row.update(

@@ -137,6 +137,14 @@ class TestSweep:
         assert len(lines) == 4  # header + three rows
         assert lines[0].startswith("beta,")
 
+    @pytest.mark.parametrize("sweep, key", [({"beta": ["x"]}, "beta"),
+                                            ({"beta": 2}, "beta"),
+                                            ({"fr_count": [1.5]}, "fr_count")])
+    def test_bad_sweep_values_exit_1(self, tmp_path, capsys, sweep, key):
+        path = write_config(tmp_path, {**RUN_CONFIG, "rounds": 2, "sweep": sweep})
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert f"sweep.{key}: must be a list of" in capsys.readouterr().err
+
     def test_sweep_without_section_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, RUN_CONFIG)
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 1

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from fedaudit.clients import (AnonymousFreeRider, DisguisedFreeRider, FairClient,
-                              PlainFreeRider, SelfishFreeRider, adam_echo_update,
-                              disguised_fr_update, fair_update, plain_fr_update)
+                              PlainFreeRider, SelfishFreeRider, fair_update)
 from fedaudit.data import Dataset, generate_synthetic
-from fedaudit.model import AdamState, ModelConfig, backward, init_params
+from fedaudit.model import ModelConfig, backward, init_params
 from fedaudit.scenarios import standard_config
 from fedaudit.simulator import Simulation
 
@@ -18,6 +17,20 @@ def world():
     shard = generate_synthetic(3, 4, 30, 2.0, 1)
     params = init_params(cfg, 0)
     return cfg, shard, params
+
+
+def rider_update(rider, prev, dim, seed=0, round_index=1):
+    """A dataless rider's upload; it reads neither the model config nor the
+    global parameters' values, only their length."""
+    return rider.compute_update(round_index, np.zeros(dim), prev, None, 0.1, 1,
+                                np.random.default_rng(seed))
+
+
+def test_each_behaviour_defines_its_own_compute_update():
+    # wrapping one class's compute_update must not reach another class
+    for cls in (FairClient, PlainFreeRider, DisguisedFreeRider, AnonymousFreeRider,
+                SelfishFreeRider):
+        assert "compute_update" in vars(cls), cls.__name__
 
 
 class TestFairUpdate:
@@ -50,17 +63,18 @@ class TestFairUpdate:
 class TestPlainFreeRider:
     def test_exact_echo(self):
         prev = np.array([0.1, -0.4, 2.0])
-        out = plain_fr_update(prev, 3)
+        out = rider_update(PlainFreeRider(0), prev, 3)
         assert np.array_equal(out, prev)
         assert out is not prev
         assert np.linalg.norm(out) == np.linalg.norm(prev)
 
     def test_round_zero_zero_vector(self):
-        assert np.array_equal(plain_fr_update(None, 4), np.zeros(4))
+        out = rider_update(PlainFreeRider(0), None, 4, round_index=0)
+        assert np.array_equal(out, np.zeros(4))
 
     def test_cosine_with_source_is_one(self):
         prev = np.array([1.0, 2.0])
-        out = plain_fr_update(prev, 2)
+        out = rider_update(PlainFreeRider(0), prev, 2)
         cos = out @ prev / (np.linalg.norm(out) * np.linalg.norm(prev))
         assert cos == pytest.approx(1.0)
 
@@ -68,17 +82,21 @@ class TestPlainFreeRider:
 class TestDisguisedFreeRider:
     def test_zero_variance_reduces_to_plain(self):
         prev = np.array([0.5, -0.5])
-        out = disguised_fr_update(prev, 2, 0.0, np.random.default_rng(0))
+        out = rider_update(DisguisedFreeRider(0, noise_variance=0.0), prev, 2)
         assert np.array_equal(out, prev)
+        assert out is not prev
 
     def test_noise_variance_estimate(self):
         prev = np.zeros(10_000)
-        out = disguised_fr_update(prev, 10_000, 1e-2, np.random.default_rng(5))
+        out = rider_update(DisguisedFreeRider(0, noise_variance=1e-2), prev,
+                           10_000, seed=5)
         assert np.var(out - prev) == pytest.approx(1e-2, rel=0.1)
+        assert not prev.any()  # the noise lands on a copy of the echo
 
     def test_cosine_approaches_one_as_variance_vanishes(self):
         prev = np.random.default_rng(1).standard_normal(500)
-        out = disguised_fr_update(prev, 500, 1e-10, np.random.default_rng(2))
+        out = rider_update(DisguisedFreeRider(0, noise_variance=1e-10), prev, 500,
+                           seed=2)
         cos = out @ prev / (np.linalg.norm(out) * np.linalg.norm(prev))
         assert cos > 0.999999
 
@@ -105,10 +123,10 @@ class TestAnonymousFreeRider:
             assert afr.adam_state.step_count == expected_steps
 
     def test_zero_echo_is_adam_fixed_point(self):
-        state = AdamState.fresh(4, 0.015, 0.997)
-        out, new_state = adam_echo_update(np.zeros(4), state)
+        afr = AnonymousFreeRider(0, adam_lr=0.015, adam_decay=0.997)
+        out = rider_update(afr, np.zeros(4), 4)
         assert np.array_equal(out, np.zeros(4))
-        assert new_state.step_count == 1
+        assert afr.adam_state.step_count == 1
 
 
 class TestSelfishFreeRider:
@@ -144,7 +162,7 @@ class TestSelfishFreeRider:
             sim = Simulation(cfg)
             sim.run_round()
             alloc = sim.alloc.copy()
-            active = [c for c in sim.clients if not c.eliminated]
+            active = sim._active_clients()
             updates = sim._compute_updates(1, active)
 
             def cos(u):
@@ -190,8 +208,9 @@ class TestDataAccessIsolation:
                               privacy_on=False, defense="none", local_epochs=2)
         sim = Simulation(cfg)
         sim.run_round()
-        sim.clients[0].eliminated = True
-        active = [c for c in sim.clients if not c.eliminated]
+        sim.ledger.eliminated.add(0)
+        active = sim._active_clients()
+        assert 0 not in {c.id for c in active}
         updates = sim._compute_updates(1, active)
         assert 0 not in updates
         assert set(updates) == {c.id for c in active}

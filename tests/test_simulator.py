@@ -92,7 +92,8 @@ class TestRoundMechanics:
             assert log.n_active == expected
 
     @pytest.mark.parametrize("roster", [RosterConfig(fair=4, plain=1),
-                                        RosterConfig(fair=2)])
+                                        RosterConfig(fair=2)],
+                             ids=["five_clients", "two_clients"])
     def test_halts_when_everyone_eliminated(self, roster):
         # the cosine defense never suspends elimination: two clients are
         # both removed in round 0, below PASS's minimum of three active
@@ -312,8 +313,8 @@ class TestAuditMatrix:
         selfish = {c.id for c in sim.clients if c.kind == "selfish"}
         for _ in range(cfg.rounds):
             pending = sim._pending_audit
-            auditors = [c for c in sim.clients
-                        if not c.eliminated and c.audit_dataset is not None]
+            auditors = [c for c in sim._active_clients()
+                        if c.audit_dataset is not None]
             sim.run_round()
             if pending is None:
                 continue
