@@ -189,5 +189,3 @@ class SelfishFreeRider(_AdamEchoRider):
                                self.pretrain_epochs)
         return self._adam_echo(prev_global_update)
 
-
-FREE_RIDER_KINDS = ("plain", "disguised", "anonymous", "selfish")

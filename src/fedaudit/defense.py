@@ -83,11 +83,16 @@ def audit_peer_update(auditor_shard: Dataset, config: ModelConfig,
 
 def contribution_step(c_prev: float, accdiv_reports: list[float], alpha: float) -> float:
     """alpha * c_prev + (1 - alpha) * tanh(mean reports); no reports carries
-    the value forward."""
+    the value forward. The reports are summed left to right in plain float
+    addition, not with builtin sum(), which compensates from Python 3.12 on
+    and would make the bits depend on the interpreter version."""
     if not accdiv_reports:
         log.debug("no audit reports this round; carrying contribution forward")
         return c_prev
-    return alpha * c_prev + (1 - alpha) * math.tanh(sum(accdiv_reports) / len(accdiv_reports))
+    total = 0.0
+    for report in accdiv_reports:
+        total += report
+    return alpha * c_prev + (1 - alpha) * math.tanh(total / len(accdiv_reports))
 
 
 def eliminate_low_contributors(ledger: ContributionLedger, beta: float,

@@ -113,21 +113,35 @@ def _forward(layers, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray
     return hidden, logits
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    expd = np.exp(shifted)
+    return expd / expd.sum(axis=-1, keepdims=True)
+
+
+def _backprop(layers, features: np.ndarray, targets: np.ndarray):
+    """Mean cross-entropy against target distributions, backpropagated:
+    layer inputs [x, h1, ...], softmax probabilities, per-layer output
+    deltas [d0, d1, ...] and per-layer gradients (h_i^T d_i, sum of d_i's
+    rows). Same rank rules as _forward."""
+    hidden, logits = _forward(layers, features)
+    probs = _softmax(logits)
+    delta = (probs - targets) / features.shape[-2]
+    deltas = [None] * len(layers)
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        deltas[i] = delta
+        grads[i] = (hidden[i].mT @ delta, delta.sum(axis=-2))
+        if i > 0:
+            delta = (delta @ layers[i][0].mT) * (1.0 - hidden[i] ** 2)
+    return hidden, probs, deltas, grads
+
+
 def _grads(layers, features: np.ndarray,
            targets: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (dW, db) of mean cross-entropy against target distributions;
     same rank rules as _forward."""
-    hidden, logits = _forward(layers, features)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    probs = expd / expd.sum(axis=-1, keepdims=True)
-    delta = (probs - targets) / features.shape[-2]
-    grads = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        grads[i] = (hidden[i].mT @ delta, delta.sum(axis=-2))
-        if i > 0:
-            delta = (delta @ layers[i][0].mT) * (1.0 - hidden[i] ** 2)
-    return grads
+    return _backprop(layers, features, targets)[3]
 
 
 def _flatten(layers) -> np.ndarray:
@@ -187,6 +201,46 @@ def backward_soft(params: np.ndarray, config: ModelConfig, features: np.ndarray,
     if target_probs.shape != (features.shape[0], config.num_classes):
         raise ValueError("target_probs must be (n, num_classes)")
     return _flatten(_grads(unflatten(params, config), features, target_probs))
+
+
+def matching_loss(params: np.ndarray, config: ModelConfig, features: np.ndarray,
+                  label_logits: np.ndarray,
+                  observed: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The gradient-matching loss ||backward_soft(x, softmax(z)) - observed||^2
+    for (n, input_dim) features x and (n, num_classes) label logits z, with
+    its exact gradients with respect to x and z.
+
+    Double backprop: reverse mode through _backprop's backward pass (input
+    layer first), then through the softmaxes on the logits and on z, then
+    back down the tanh forward pass.
+    """
+    layers = unflatten(params, config)
+    targets = _softmax(label_logits)
+    hidden, probs, deltas, grads = _backprop(layers, features, targets)
+    residual = _flatten(grads) - observed
+    value = float(np.sum(residual ** 2))
+    # adjoints of each layer input h_i, and of the running delta
+    hidden_bar = []
+    delta_bar = None
+    for i, ((w, _), (w_bar, b_bar)) in enumerate(
+            zip(layers, unflatten(2.0 * residual, config))):
+        h_bar = deltas[i] @ w_bar.T
+        d_bar = hidden[i] @ w_bar + b_bar
+        if i > 0:
+            # deltas[i-1] = (deltas[i] @ w.T) * (1 - h_i^2)
+            d_bar += (delta_bar * (1.0 - hidden[i] ** 2)) @ w
+            h_bar -= 2.0 * delta_bar * (deltas[i] @ w.T) * hidden[i]
+        hidden_bar.append(h_bar)
+        delta_bar = d_bar
+    # deltas[-1] = (probs - targets) / n
+    delta_bar /= features.shape[0]
+    out_bar = probs * (delta_bar - (delta_bar * probs).sum(axis=1, keepdims=True))
+    z_bar = targets * ((delta_bar * targets).sum(axis=1, keepdims=True) - delta_bar)
+    for i in range(len(layers) - 1, -1, -1):
+        hidden_bar[i] += out_bar @ layers[i][0].T
+        if i > 0:
+            out_bar = hidden_bar[i] * (1.0 - hidden[i] ** 2)
+    return value, hidden_bar[0], z_bar
 
 
 def sgd_step(params: np.ndarray, gradient: np.ndarray, eta: float) -> np.ndarray:

@@ -13,7 +13,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .data import Dataset
-from .model import ModelConfig, backward_soft, param_count
+# backward_soft is not called here; perfbench/spans.py times it under this name
+from .model import ModelConfig, backward_soft, matching_loss, param_count  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -53,21 +54,14 @@ class PrivacyConfig:
 
 @dataclass(frozen=True)
 class DLGConfig:
-    """Budget for the gradient-matching reconstruction.
-
-    optimizer_step is the finite-difference probe the quasi-Newton minimizer
-    uses when estimating matching-loss gradients.
-    """
+    """Budget for the gradient-matching reconstruction."""
 
     iterations: int = 300
-    optimizer_step: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.optimizer_step <= 0:
-            raise ValueError("optimizer_step must be > 0")
 
 
 class ReconstructionDivergedError(RuntimeError):
@@ -136,9 +130,9 @@ def dlg_reconstruct(config: ModelConfig, params: np.ndarray,
 
     Dummy features (kept inside the normalized [0,1] box, like the raw
     inputs) and soft labels are optimized jointly with L-BFGS for at most
-    dlg.iterations iterations. Returns the final dummy batch with argmax
-    labels. Raises ReconstructionDivergedError if the matching loss goes
-    non-finite.
+    dlg.iterations iterations, on the matching loss and its exact gradient
+    (model.matching_loss). Returns the final dummy batch with argmax labels.
+    Raises ReconstructionDivergedError if the matching loss goes non-finite.
     """
     n, dim = batch_shape
     if dim != config.input_dim:
@@ -156,37 +150,29 @@ def dlg_reconstruct(config: ModelConfig, params: np.ndarray,
         z = u[n * dim:].reshape(n, k)
         return x, z
 
-    def soft_labels(z: np.ndarray) -> np.ndarray:
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
-
     last_finite = {"u": u0.copy()}
 
     class _Diverged(Exception):
         pass
 
-    def objective(u: np.ndarray) -> float:
-        x, z = unpack(u)
-        g = backward_soft(params, config, x, soft_labels(z))
-        val = float(np.sum((g - observed_gradient) ** 2))
+    def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
+        val, x_grad, z_grad = matching_loss(params, config, *unpack(u), observed_gradient)
         if not np.isfinite(val):
             raise _Diverged
         last_finite["u"] = u.copy()
-        return val
+        return val, np.concatenate([x_grad.ravel(), z_grad.ravel()])
 
     def to_batch(u: np.ndarray) -> Dataset:
         x, z = unpack(u)
-        return Dataset(x, soft_labels(z).argmax(axis=1), k)
+        return Dataset(x, z.argmax(axis=1), k)
 
     bounds = [(0.0, 1.0)] * (n * dim) + [(None, None)] * (n * k)
     try:
-        if objective(u0) == 0.0:
+        if objective(u0)[0] == 0.0:
             # observed gradient already matches the initialization exactly
             return to_batch(u0)
-        result = minimize(
-            objective, u0, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": dlg.iterations, "eps": dlg.optimizer_step})
+        result = minimize(objective, u0, jac=True, method="L-BFGS-B", bounds=bounds,
+                          options={"maxiter": dlg.iterations})
     except _Diverged:
         raise ReconstructionDivergedError(
             "matching loss went non-finite during reconstruction",

@@ -378,7 +378,7 @@ def sweep_experiment(base: ExperimentConfig, sweep: dict) -> list[dict]:
         raise ConfigError("sweep: at least one swept parameter required")
     check_types(SWEEPABLE, sweep, "sweep")
     keys = [k for k in SWEEPABLE if k in sweep]
-    rows = []
+    plan = []  # every combination is built and validated before the first run
     for combo in itertools.product(*(sweep[k] for k in keys)):
         cfg = base
         named = dict(zip(keys, combo))
@@ -391,6 +391,10 @@ def sweep_experiment(base: ExperimentConfig, sweep: dict) -> list[dict]:
                                                noise_variance=named["noise_variance"]))
         if "fr_count" in named:
             cfg = _with_fr_count(cfg, named["fr_count"])
+        cfg.validate()
+        plan.append((named, cfg))
+    rows = []
+    for named, cfg in plan:
         result = run_experiment(cfg)
         row = dict(named)
         row.update(

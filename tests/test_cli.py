@@ -6,6 +6,7 @@ import pytest
 
 from fedaudit.cli import main
 from fedaudit.config import load_config
+from fedaudit.simulator import Simulation
 
 RUN_CONFIG = {
     "seed": 5,
@@ -144,6 +145,20 @@ class TestSweep:
         path = write_config(tmp_path, {**RUN_CONFIG, "rounds": 2, "sweep": sweep})
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert f"sweep.{key}: must be a list of" in capsys.readouterr().err
+
+    def test_bad_late_value_exits_1_before_any_run(self, tmp_path, capsys,
+                                                   monkeypatch):
+        runs = []
+        original_run = Simulation.run
+        monkeypatch.setattr(Simulation, "run",
+                            lambda self: runs.append(1) or original_run(self))
+        path = write_config(tmp_path, {**RUN_CONFIG, "rounds": 2,
+                                       "sweep": {"beta": [1.75, 1.5, 0.5]}})
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 1
+        assert "defense.beta" in capsys.readouterr().err
+        assert runs == []
+        assert not (out / "sweep.csv").exists()
 
     def test_sweep_without_section_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, RUN_CONFIG)

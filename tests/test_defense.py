@@ -78,6 +78,13 @@ class TestContributionStep:
     def test_empty_reports_carry_forward(self):
         assert contribution_step(0.42, [], 0.95) == 0.42
 
+    def test_mean_is_left_to_right_float_sum(self):
+        # 1.0 + 1e-16 rounds back to 1.0 at each step; a compensated sum
+        # (builtin sum from Python 3.12, math.fsum) keeps the 2e-16
+        reports = [1.0, 1e-16, 1e-16]
+        assert math.tanh(math.fsum(reports) / 3) != math.tanh(1.0 / 3)
+        assert contribution_step(0.0, reports, 0.0) == math.tanh(1.0 / 3)
+
     def test_boundedness_under_random_streams(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import fedaudit.privacy
 from fedaudit.data import Dataset
-from fedaudit.model import ModelConfig, backward, init_params, param_count, sgd_step
+from fedaudit.model import (ModelConfig, backward, backward_soft, init_params,
+                            matching_loss, param_count, sgd_step)
 from fedaudit.privacy import (DEFENDED_MSE_THRESHOLD, DLGConfig, PrivacyConfig,
                               PUBLISHED_MSE, PUBLISHED_NOISE_LEVELS,
                               PUBLISHED_PRUNE_RATES, ReconstructionDivergedError,
@@ -142,8 +144,6 @@ class TestDlgReconstruct:
         cfg, params, _, _ = single_sample_instance(seed=4)
         dlg = DLGConfig(50, seed=9)
         # compute the gradient the dummy initialization itself induces
-        from fedaudit.model import backward_soft
-
         rng = np.random.default_rng(dlg.seed)
         x0 = rng.uniform(0, 1, (1, 8))
         z0 = rng.standard_normal((1, 2))
@@ -185,7 +185,69 @@ class TestDlgReconstruct:
             medians.append(float(np.median(mses)))
         assert medians[0] <= medians[1] <= medians[2]
 
+    def test_no_finite_difference_evaluations(self, monkeypatch):
+        # with the exact gradient L-BFGS-B needs about one evaluation per
+        # iteration; a finite-difference estimate would add n*(dim + k) more
+        results = []
+        minimize = fedaudit.privacy.minimize
+
+        def recording_minimize(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(fedaudit.privacy, "minimize", recording_minimize)
+        cfg, params, _, grad = single_sample_instance(seed=3)
+        dlg_reconstruct(cfg, params, grad, (1, 8), DLGConfig(300, seed=1))
+        (result,) = results
+        assert result.nit > 10
+        assert result.nfev <= 3 * result.nit + 5
+
     def test_gradient_dim_checked(self):
         cfg, params, _, grad = single_sample_instance()
         with pytest.raises(ValueError):
             dlg_reconstruct(cfg, params, grad[:-1], (1, 8), DLGConfig(10))
+
+
+class TestMatchingLoss:
+    """matching_loss against central differences, in the style of criterion 7."""
+
+    @pytest.mark.parametrize("hidden", [(), (3,), (4, 2)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gradient_matches_central_differences(self, hidden, n):
+        rng = np.random.default_rng(len(hidden) * 10 + n)
+        cfg = ModelConfig(4, hidden, 3)
+        params = init_params(cfg, n) + 0.3 * rng.standard_normal(param_count(cfg))
+        observed = 0.1 * rng.standard_normal(param_count(cfg))
+        x = rng.uniform(0, 1, (n, 4))
+        z = rng.standard_normal((n, 3))
+        _, x_grad, z_grad = matching_loss(params, cfg, x, z, observed)
+
+        step = 1e-5
+        for point, analytic in ((x, x_grad), (z, z_grad)):
+            assert analytic.shape == point.shape
+            numeric = np.empty_like(point)
+            for idx in np.ndindex(point.shape):
+                saved = point[idx]
+                point[idx] = saved + step
+                up = matching_loss(params, cfg, x, z, observed)[0]
+                point[idx] = saved - step
+                down = matching_loss(params, cfg, x, z, observed)[0]
+                point[idx] = saved
+                numeric[idx] = (up - down) / (2 * step)
+            scale = np.abs(numeric).max()
+            assert scale > 1e-3
+            assert np.abs(analytic - numeric).max() <= 1e-6 * scale
+
+    @pytest.mark.parametrize("hidden", [(), (3,), (4, 2)])
+    def test_value_is_squared_gradient_mismatch(self, hidden):
+        rng = np.random.default_rng(5)
+        cfg = ModelConfig(4, hidden, 3)
+        params = init_params(cfg, 2)
+        observed = rng.standard_normal(param_count(cfg))
+        x = rng.uniform(0, 1, (2, 4))
+        z = rng.standard_normal((2, 3))
+        soft = np.exp(z - z.max(axis=1, keepdims=True))
+        soft /= soft.sum(axis=1, keepdims=True)
+        expected = np.sum((backward_soft(params, cfg, x, soft) - observed) ** 2)
+        value, _, _ = matching_loss(params, cfg, x, z, observed)
+        assert abs(value - expected) <= 1e-12 * max(1.0, expected)
