@@ -1,11 +1,12 @@
 """Golden behaviour fingerprints.
 
 Each small configuration below is run and compared with its recorded golden in
-tests/golden/<name>.json: the sha256 of the run's rounds.csv text (for the
-leakage grid, of its CSV text) and, for simulator runs, the round in which each
+tests/golden/<name>.json: the sha256 of every output file the CLI can write
+for it (rounds CSV, result JSON with and without round logs; leakage grid CSV
+and JSON; sweep CSV and JSON) and, for simulator runs, the round in which each
 client was eliminated (null if never). Bit-reproducibility per seed is the
-contract, so a refactor that changes any number fails here even when every
-behavioural test still passes.
+contract, so a refactor that changes any number or any output byte fails here
+even when every behavioural test still passes.
 
 A golden may be refreshed only by a change whose CHANGES.md entry names the
 golden and says why its bytes moved. To rewrite all goldens from the current
@@ -21,10 +22,11 @@ from pathlib import Path
 import pytest
 
 from fedaudit.model import ModelConfig
-from fedaudit.reporting import dlg_csv_text, rounds_csv_text
+from fedaudit.reporting import (dlg_csv_text, dlg_json_text, result_json_text,
+                                rounds_csv_text, sweep_csv_text, sweep_json_text)
 from fedaudit.scenarios import INPUT_DIM, NUM_CLASSES, standard_config
 from fedaudit.simulator import (DLGExperimentConfig, run_dlg_experiment,
-                                run_experiment)
+                                run_experiment, sweep_experiment)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -69,13 +71,24 @@ DLG_CASES = {
 }
 
 
+SWEEP_CASES = {
+    "sweep": lambda: (_small(fair=3, plain=1, rounds=5), {"beta": [1.25, 2.5]}),
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def fingerprint(name: str) -> dict:
     if name in DLG_CASES:
-        return {"dlg_csv_sha256": _sha256(dlg_csv_text(run_dlg_experiment(DLG_CASES[name]())))}
+        cells = run_dlg_experiment(DLG_CASES[name]())
+        return {"dlg_csv_sha256": _sha256(dlg_csv_text(cells)),
+                "dlg_json_sha256": _sha256(dlg_json_text(cells))}
+    if name in SWEEP_CASES:
+        rows = sweep_experiment(*SWEEP_CASES[name]())
+        return {"sweep_csv_sha256": _sha256(sweep_csv_text(rows)),
+                "sweep_json_sha256": _sha256(sweep_json_text(rows))}
     result = run_experiment(SIM_CASES[name]())
     # a round that eliminates the last active clients halts before its log
     eliminated_in = {cid: len(result.rounds) for cid in result.eliminated}
@@ -84,11 +97,13 @@ def fingerprint(name: str) -> dict:
     client_ids = sorted(result.fair_ids + result.fr_ids)
     return {
         "rounds_csv_sha256": _sha256(rounds_csv_text(result)),
+        "result_json_sha256": _sha256(result_json_text(result)),
+        "summary_json_sha256": _sha256(result_json_text(result, include_rounds=False)),
         "elimination_round": {str(cid): eliminated_in.get(cid) for cid in client_ids},
     }
 
 
-@pytest.mark.parametrize("name", [*SIM_CASES, *DLG_CASES])
+@pytest.mark.parametrize("name", [*SIM_CASES, *DLG_CASES, *SWEEP_CASES])
 def test_matches_golden(name):
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     assert fingerprint(name) == golden
@@ -98,7 +113,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: python tests/test_golden.py --write")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for case in [*SIM_CASES, *DLG_CASES]:
+    for case in [*SIM_CASES, *DLG_CASES, *SWEEP_CASES]:
         (GOLDEN_DIR / f"{case}.json").write_text(
             json.dumps(fingerprint(case), indent=2, sort_keys=True) + "\n")
         print(f"wrote {case}")
