@@ -16,9 +16,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, build_section, load_config
-from .reporting import (dlg_csv_text, dlg_json_text, result_json_text,
-                        rounds_csv_text, summary_dict, sweep_csv_text,
-                        sweep_json_text, write_text)
+from .reporting import (dlg_csv_text, dlg_json_text, json_text, result_json_text,
+                        rounds_csv_text, summary_dict, sweep_csv_text, write_text)
 from .simulator import (DLGExperimentConfig, run_dlg_experiment, run_experiment,
                         sweep_experiment)
 
@@ -82,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.format == "csv":
                 write_text(out_dir / "sweep.csv", sweep_csv_text(rows))
             else:
-                write_text(out_dir / "sweep.json", sweep_json_text(rows))
+                write_text(out_dir / "sweep.json", json_text(rows))
             print(f"sweep rows={len(rows)}")
             return EXIT_OK
 

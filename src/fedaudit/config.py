@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_type_hints
 
 from .clients import FR_ADAM_DECAY, FR_ADAM_LR
 from .model import ModelConfig
@@ -29,8 +30,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    """A finite real number (bool excluded); JSON's NaN, Infinity and
+    overflowing literals such as 1e400 are not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _is_int(value, minimum: int) -> bool:
@@ -45,10 +49,10 @@ def _is_list_of(test):
 # JSON value test and its description, per dataclass field annotation
 _FIELD_TYPES = {
     "int": (_is_integer, "an integer"),
-    "float": (_is_number, "a number"),
+    "float": (_is_finite, "a finite number"),
     "str": (lambda value: isinstance(value, str), "a string"),
     "tuple[int, ...]": (_is_list_of(_is_integer), "a list of integers"),
-    "tuple[float, ...]": (_is_list_of(_is_number), "a list of numbers"),
+    "tuple[float, ...]": (_is_list_of(_is_finite), "a list of finite numbers"),
 }
 
 
@@ -102,10 +106,6 @@ class RosterConfig:
     @property
     def total(self) -> int:
         return self.fair + self.plain + self.disguised + self.anonymous + self.selfish
-
-    @property
-    def fr_total(self) -> int:
-        return self.plain + self.disguised + self.anonymous + self.selfish
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,12 @@ class ExperimentConfig:
             problems.append("roster.disguise_variance: must be >= 0")
         if self.roster.sfr_pretrain_epochs < 0:
             problems.append("roster.sfr_pretrain_epochs: must be >= 0")
+        if self.roster.afr_init_variance < 0:
+            problems.append("roster.afr_init_variance: must be >= 0")
+        if not self.roster.fr_adam_lr > 0:
+            problems.append("roster.fr_adam_lr: must be > 0")
+        if not 0 < self.roster.fr_adam_decay <= 1:
+            problems.append("roster.fr_adam_decay: must be in (0, 1]")
         if self.aggregator.kind not in AGGREGATOR_KINDS:
             problems.append(
                 f"aggregator.kind: {self.aggregator.kind!r} not one of {AGGREGATOR_KINDS}")
@@ -191,6 +197,13 @@ class ExperimentConfig:
                 problems.append("data.num_classes: must be >= 2")
             if self.data.separation <= 0:
                 problems.append("data.separation: must be > 0")
+            data_clients = self.roster.fair + self.roster.selfish
+            if (data_clients * self.data.samples_per_client + self.data.holdout_samples
+                    < self.data.num_classes):
+                problems.append(
+                    "data.samples_per_client/holdout_samples: the synthetic pool, "
+                    "(roster.fair + roster.selfish) * samples_per_client + "
+                    "holdout_samples, must be >= num_classes")
         else:
             if not self.data.images_path or not self.data.labels_path:
                 problems.append("data.images_path/labels_path: required for source 'idx'")
@@ -228,29 +241,18 @@ def build_section(cls, raw: dict, path: str):
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build and validate an ExperimentConfig from a parsed JSON dict."""
+    """Build and validate an ExperimentConfig from a parsed JSON dict. Each
+    ExperimentConfig field is a top-level key (absent keys keep the field's
+    default); 'sweep' and 'dlg' are left for those subcommands."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
-    known = {"seed", "rounds", "eta", "local_epochs", "local_batch_size", "model",
-             "data", "roster", "aggregator", "defense", "privacy", "sweep", "dlg"}
-    unknown = set(raw) - known
+    hints = get_type_hints(ExperimentConfig)
+    unknown = set(raw) - set(hints) - {"sweep", "dlg"}
     if unknown:
         raise ConfigError(f"top level: unknown keys {sorted(unknown)}")
-    defaults = ExperimentConfig()
-    cfg = ExperimentConfig(
-        seed=raw.get("seed", defaults.seed),
-        rounds=raw.get("rounds", defaults.rounds),
-        eta=raw.get("eta", defaults.eta),
-        local_epochs=raw.get("local_epochs", defaults.local_epochs),
-        local_batch_size=raw.get("local_batch_size"),
-        model=(build_section(ModelConfig, raw["model"], "model")
-               if "model" in raw else defaults.model),
-        data=build_section(DataConfig, raw.get("data", {}), "data"),
-        roster=build_section(RosterConfig, raw.get("roster", {}), "roster"),
-        aggregator=build_section(AggregatorConfig, raw.get("aggregator", {}), "aggregator"),
-        defense=build_section(DefenseSettings, raw.get("defense", {}), "defense"),
-        privacy=build_section(PrivacyConfig, raw.get("privacy", {}), "privacy"),
-    )
+    cfg = ExperimentConfig(**{
+        name: build_section(hint, raw[name], name) if is_dataclass(hint) else raw[name]
+        for name, hint in hints.items() if name in raw})
     cfg.validate()
     return cfg
 

@@ -47,10 +47,6 @@ class PrivacyConfig:
         if self.prune_mode not in ("mask", "scale"):
             raise ValueError(f"prune_mode: {self.prune_mode!r} not one of ('mask', 'scale')")
 
-    @property
-    def enabled(self) -> bool:
-        return self.noise_variance > 0 or self.prune_rate > 0
-
 
 @dataclass(frozen=True)
 class DLGConfig:

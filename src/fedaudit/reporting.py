@@ -1,12 +1,14 @@
 """Deterministic CSV/JSON emission for experiment, sweep, and leakage results.
 
-Output bytes are a pure function of the result objects (floats via repr, keys
-sorted, no timestamps), so identical runs produce identical files.
+Every CSV goes through `csv_text` and every JSON file through `json_text`, so
+output bytes are a pure function of the result objects (floats via repr, keys
+sorted, no timestamps) and identical runs produce identical files.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from pathlib import Path
 
 from .privacy import (DEFENDED_MSE_THRESHOLD, PUBLISHED_MSE, PUBLISHED_NOISE_LEVELS,
@@ -19,20 +21,14 @@ ROUNDS_CSV_COLUMNS = ("round", "accuracy", "client_id", "contribution",
 
 def rounds_csv_text(result: ExperimentResult) -> str:
     """One row per (round, client): the documented fixed-column long format."""
-    lines = [",".join(ROUNDS_CSV_COLUMNS)]
+    rows = []
     eliminated_so_far: set[int] = set()
     for log in result.rounds:
         eliminated_so_far |= set(log.newly_eliminated)
-        for cid in sorted(log.contributions):
-            lines.append(",".join((
-                str(log.round),
-                repr(log.global_accuracy),
-                str(cid),
-                repr(log.contributions[cid]),
-                "1" if cid in eliminated_so_far else "0",
-                str(log.comm_scalars),
-            )))
-    return "\n".join(lines) + "\n"
+        rows += [(log.round, log.global_accuracy, cid, log.contributions[cid],
+                  cid in eliminated_so_far, log.comm_scalars)
+                 for cid in sorted(log.contributions)]
+    return csv_text(ROUNDS_CSV_COLUMNS, rows)
 
 
 def summary_dict(result: ExperimentResult) -> dict:
@@ -66,21 +62,12 @@ def result_json_text(result: ExperimentResult, include_rounds: bool = True) -> s
             }
             for log in result.rounds
         ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def sweep_csv_text(rows: list[dict]) -> str:
-    if not rows:
-        return "\n"
-    columns = list(rows[0].keys())
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
-def sweep_json_text(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    columns = list(rows[0]) if rows else []
+    return csv_text(columns, ([row[c] for c in columns] for row in rows))
 
 
 DLG_CSV_COLUMNS = ("source", "noise_variance", "prune_rate", "median_mse",
@@ -103,38 +90,29 @@ def dlg_reference_cells() -> list[DLGCell]:
     return cells
 
 
-def dlg_csv_text(cells: list[DLGCell], include_reference: bool = True) -> str:
-    """Leakage grid as CSV; published reference rows are labeled by source and
-    are not reproduced at this scale."""
-    rows = list(cells) + (dlg_reference_cells() if include_reference else [])
-    lines = [",".join(DLG_CSV_COLUMNS)]
-    for cell in rows:
-        lines.append(",".join((
-            cell.source,
-            repr(cell.noise_variance),
-            repr(cell.prune_rate),
-            repr(cell.median_mse),
-            "1" if cell.defended else "0",
-            str(cell.instances),
-            str(cell.diverged),
-        )))
+def _dlg_rows(cells: list[DLGCell]) -> list[dict]:
+    """The leakage grid followed by the published reference rows, which are
+    labeled by source and are not reproduced at this scale."""
+    return [{column: getattr(cell, column) for column in DLG_CSV_COLUMNS}
+            for cell in [*cells, *dlg_reference_cells()]]
+
+
+def dlg_csv_text(cells: list[DLGCell]) -> str:
+    return csv_text(DLG_CSV_COLUMNS, (row.values() for row in _dlg_rows(cells)))
+
+
+def dlg_json_text(cells: list[DLGCell]) -> str:
+    return json_text(_dlg_rows(cells))
+
+
+def csv_text(columns: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """Header plus one line per row of values, each cell rendered by `_cell`."""
+    lines = [",".join(columns)]
+    lines += [",".join(map(_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def dlg_json_text(cells: list[DLGCell], include_reference: bool = True) -> str:
-    rows = list(cells) + (dlg_reference_cells() if include_reference else [])
-    payload = [
-        {
-            "source": c.source,
-            "noise_variance": c.noise_variance,
-            "prune_rate": c.prune_rate,
-            "median_mse": c.median_mse,
-            "defended": c.defended,
-            "instances": c.instances,
-            "diverged": c.diverged,
-        }
-        for c in rows
-    ]
+def json_text(payload: dict | list) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

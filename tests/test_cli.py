@@ -56,12 +56,33 @@ class TestRun:
         ("aggregator", {"trim_fraction": [0.1]}, "aggregator.trim_fraction"),
         ("privacy", {"noise_variance": "x"}, "privacy.noise_variance"),
         ("model", {"hidden_dims": 4}, "model.hidden_dims"),
+        ("defense", {"beta": float("nan")}, "defense.beta"),
+        ("privacy", {"noise_variance": float("inf")}, "privacy.noise_variance"),
+        ("data", {"separation": float("inf")}, "data.separation"),
+        ("roster", {"fr_adam_lr": 0}, "roster.fr_adam_lr"),
+        ("roster", {"fr_adam_decay": 1.5}, "roster.fr_adam_decay"),
+        ("roster", {"afr_init_variance": -1}, "roster.afr_init_variance"),
     ])
     def test_bad_nested_field_exits_1(self, tmp_path, capsys, section, fields, path):
         payload = {**RUN_CONFIG, section: {**RUN_CONFIG[section], **fields}}
         config = write_config(tmp_path, payload)
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 1
         assert f"{path}: must be" in capsys.readouterr().err
+
+    def test_overflowing_number_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(RUN_CONFIG).replace('"separation": 2.0',
+                                                       '"separation": 1e400'))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "data.separation: must be a finite number" in capsys.readouterr().err
+
+    def test_pool_without_a_sample_per_class_exits_1(self, tmp_path, capsys):
+        payload = {**RUN_CONFIG, "roster": {"fair": 1},
+                   "data": {**RUN_CONFIG["data"], "samples_per_client": 1,
+                            "holdout_samples": 1}}
+        path = write_config(tmp_path, payload)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert "data.samples_per_client/holdout_samples: " in capsys.readouterr().err
 
     def test_non_object_section_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, {**RUN_CONFIG, "roster": 5})
@@ -140,7 +161,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("sweep, key", [({"beta": ["x"]}, "beta"),
                                             ({"beta": 2}, "beta"),
-                                            ({"fr_count": [1.5]}, "fr_count")])
+                                            ({"fr_count": [1.5]}, "fr_count"),
+                                            ({"beta": [float("nan")]}, "beta")])
     def test_bad_sweep_values_exit_1(self, tmp_path, capsys, sweep, key):
         path = write_config(tmp_path, {**RUN_CONFIG, "rounds": 2, "sweep": sweep})
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 1
@@ -187,6 +209,15 @@ class TestDlg:
         path = write_config(tmp_path, payload)
         assert main(["dlg", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "dlg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [
+        ({"noise_variances": [0.0, float("inf")]}, "noise_variances"),
+        ({"prune_rates": [float("nan")]}, "prune_rates"),
+    ])
+    def test_dlg_non_finite_exits_1(self, tmp_path, capsys, section, key):
+        path = write_config(tmp_path, {**RUN_CONFIG, "dlg": section})
+        assert main(["dlg", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert f"dlg.{key}: must be a list of finite numbers" in capsys.readouterr().err
 
     def test_dlg_zero_iterations_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, {**RUN_CONFIG, "dlg": {"iterations": 0}})

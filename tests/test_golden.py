@@ -22,8 +22,8 @@ from pathlib import Path
 import pytest
 
 from fedaudit.model import ModelConfig
-from fedaudit.reporting import (dlg_csv_text, dlg_json_text, result_json_text,
-                                rounds_csv_text, sweep_csv_text, sweep_json_text)
+from fedaudit.reporting import (dlg_csv_text, dlg_json_text, json_text,
+                                result_json_text, rounds_csv_text, sweep_csv_text)
 from fedaudit.scenarios import INPUT_DIM, NUM_CLASSES, standard_config
 from fedaudit.simulator import (DLGExperimentConfig, run_dlg_experiment,
                                 run_experiment, sweep_experiment)
@@ -88,7 +88,7 @@ def fingerprint(name: str) -> dict:
     if name in SWEEP_CASES:
         rows = sweep_experiment(*SWEEP_CASES[name]())
         return {"sweep_csv_sha256": _sha256(sweep_csv_text(rows)),
-                "sweep_json_sha256": _sha256(sweep_json_text(rows))}
+                "sweep_json_sha256": _sha256(json_text(rows))}
     result = run_experiment(SIM_CASES[name]())
     # a round that eliminates the last active clients halts before its log
     eliminated_in = {cid: len(result.rounds) for cid in result.eliminated}

@@ -200,6 +200,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="defense"):
             config_from_dict({"defense": {"kind": "pass", "gamma": 0.9}})
 
+    def test_absent_sections_keep_the_documented_defaults(self):
+        assert config_from_dict({}) == ExperimentConfig()
+        assert config_from_dict({"seed": 3}).privacy == PrivacyConfig(1e-2, 0.9)
+
     def test_model_data_dims_must_match(self):
         with pytest.raises(ConfigError, match="data.input_dim"):
             config_from_dict({"model": {"input_dim": 4, "num_classes": 3},
