@@ -7,10 +7,10 @@ import pytest
 
 from fedaudit.clients import fair_update
 from fedaudit.data import Dataset, generate_synthetic
-from fedaudit.model import (AdamState, ModelConfig, accuracy, adam_step, backward,
-                            backward_soft, epoch_permutations, forward_loss,
-                            init_params, param_count, sgd_step, train_clients,
-                            unflatten)
+from fedaudit.model import (AdamState, ModelConfig, _backprop, _forward, _grads,
+                            _softmax, accuracy, adam_step, backward, backward_soft,
+                            epoch_permutations, forward_loss, init_params,
+                            param_count, sgd_step, train_clients, unflatten)
 
 
 def fd_gradient(params, config, batch, step=1e-5):
@@ -203,6 +203,56 @@ class TestBackward:
                               backward_soft(params, cfg, batch.features, onehot))
 
 
+def reference_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    expd = np.exp(shifted)
+    return expd / expd.sum(axis=-1, keepdims=True)
+
+
+def awkward_logits(shape, seed):
+    """Random logits whose first rows have tied maxima or large magnitudes."""
+    logits = np.random.default_rng(seed).standard_normal(shape)
+    rows = logits.reshape(-1, shape[-1])
+    special = [np.full(shape[-1], 2.5),  # every class tied
+               np.where(np.arange(shape[-1]) % 2 == 0, 1.0, -1.0),  # several tied
+               rows[0] * 1e4,
+               rows[0] * 1e300]
+    for i, row in enumerate(special[:len(rows)]):
+        rows[i] = row
+    return logits
+
+
+class TestKernelReductions:
+    """The kernel's row max, softmax sum and bias-gradient sum are bitwise
+    equal to the plain numpy reductions over the class and sample axes."""
+
+    @pytest.mark.parametrize("k", [2, 5, 8, 13])
+    @pytest.mark.parametrize("n", [1, 7, 100])
+    def test_softmax_bitwise_equals_reference(self, k, n):
+        for shape in ((n, k), (3, n, k)):
+            logits = awkward_logits(shape, seed=k * n)
+            assert np.array_equal(_softmax(logits), reference_softmax(logits))
+
+    @pytest.mark.parametrize("hidden", [(), (5,)])
+    @pytest.mark.parametrize("k", [2, 5, 8, 13])
+    def test_bias_gradients_bitwise_equal_delta_sums(self, hidden, k):
+        cfg = ModelConfig(4, hidden, k)
+        rng = np.random.default_rng(k)
+        for n in (1, 7, 100):
+            for lead in ((), (3,)):
+                params = init_params(cfg, n) + rng.standard_normal(
+                    (*lead, param_count(cfg)))
+                layers = unflatten(params, cfg)
+                features = rng.standard_normal((*lead, n, 4))
+                targets = rng.dirichlet(np.ones(k), (*lead, n))
+                _, probs, deltas, _ = _backprop(layers, features, targets)
+                logits = _forward(layers, features)[1]
+                assert np.array_equal(probs, reference_softmax(logits))
+                for (_, db), delta in zip(_grads(layers, features, targets), deltas):
+                    assert db.shape == (*lead, delta.shape[-1])
+                    assert np.array_equal(db, delta.sum(axis=-2))
+
+
 class TestSgd:
     def test_zero_eta_identity(self):
         params = np.array([1.0, -2.0])
@@ -283,6 +333,21 @@ class TestBatchedTraining:
                                     batch.labels[None], 0.1, 1)
             assert np.array_equal(stepped[0],
                                   sgd_step(p0, backward(p0, cfg, batch), 0.1))
+
+    def test_caller_params_unchanged(self):
+        cfg = ModelConfig(4, (5,), 3)
+        p0 = init_params(cfg, 2)
+        kept = p0.copy()
+        rng = np.random.default_rng(5)
+        C, n, epochs = 3, 8, 4
+        feats = rng.standard_normal((C, n, 4))
+        labels = rng.integers(0, 3, (C, n))
+        perms = np.stack([epoch_permutations(n, epochs, np.random.default_rng(i))
+                          for i in range(C)])
+        for trained in (train_clients(p0, cfg, feats, labels, 0.1, epochs),
+                        train_clients(p0, cfg, feats, labels, 0.1, epochs, perms, 3)):
+            assert not np.array_equal(trained[0], kept)
+            assert np.array_equal(p0, kept)
 
     def test_minibatch_bitwise_equals_single(self):
         # the oracle: backward + sgd_step over the gathered minibatches, with
