@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
 from .clients import FR_ADAM_DECAY, FR_ADAM_LR
@@ -37,11 +37,6 @@ def _is_finite(value) -> bool:
             and math.isfinite(value))
 
 
-def _is_int(value, minimum: int) -> bool:
-    """An integer (bool excluded) no smaller than minimum."""
-    return _is_integer(value) and value >= minimum
-
-
 def _is_list_of(test):
     return lambda value: isinstance(value, (list, tuple)) and all(map(test, value))
 
@@ -56,10 +51,12 @@ _FIELD_TYPES = {
 }
 
 
-def check_types(annotations: dict[str, str], raw: dict, path: str) -> None:
-    """Reject raw JSON values that do not match their key's annotation
-    ("X | None" also admits null), naming each field path, so no constructor
-    or range check ever compares a string or a list."""
+def _raise_problems(problems: list[str]) -> None:
+    if problems:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+
+
+def _type_problems(annotations: dict[str, str], raw: dict, prefix: str) -> list[str]:
     problems = []
     for name, annotation in annotations.items():
         if name not in raw:
@@ -69,9 +66,19 @@ def check_types(annotations: dict[str, str], raw: dict, path: str) -> None:
             continue
         test, expected = _FIELD_TYPES.get(kind, (None, None))
         if test is not None and not test(value):
-            problems.append(f"{path}.{name}: must be {expected}")
-    if problems:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+            problems.append(f"{prefix}{name}: must be {expected}")
+    return problems
+
+
+def check_types(annotations: dict[str, str], raw: dict, path: str) -> None:
+    """Reject raw JSON values that do not match their key's annotation
+    ("X | None" also admits null), naming each field path, so no constructor
+    or range check ever compares a string or a list."""
+    _raise_problems(_type_problems(annotations, raw, f"{path}."))
+
+
+def _field_types(cls) -> dict[str, str]:
+    return {f.name: f.type for f in fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -144,15 +151,22 @@ class ExperimentConfig:
     privacy: PrivacyConfig = field(default_factory=lambda: PrivacyConfig(1e-2, 0.9))
 
     def validate(self) -> None:
+        # every field, the sections' too, must first pass the JSON boundary's
+        # type check: no range check below then compares a string or a NaN
+        sections = [("", self)] + [(f"{f.name}.", getattr(self, f.name))
+                                   for f in fields(self)
+                                   if is_dataclass(getattr(self, f.name))]
+        _raise_problems([problem for prefix, section in sections
+                         for problem in _type_problems(_field_types(section),
+                                                       vars(section), prefix)])
         problems: list[str] = []
         for name, minimum in (("seed", 0), ("rounds", 1), ("local_epochs", 0)):
-            if not _is_int(getattr(self, name), minimum):
+            if getattr(self, name) < minimum:
                 problems.append(f"{name}: must be an integer >= {minimum}")
-        if (not isinstance(self.eta, numbers.Real) or isinstance(self.eta, bool)
-                or not 0 < self.eta < math.inf):
+        if not self.eta > 0:
             problems.append("eta: must be a finite number > 0")
         if self.local_batch_size is not None:
-            if not _is_int(self.local_batch_size, 1):
+            if self.local_batch_size < 1:
                 problems.append(
                     "local_batch_size: must be an integer >= 1 (or null for full batch)")
             elif self.local_batch_size > self.data.samples_per_client:
@@ -215,27 +229,28 @@ class ExperimentConfig:
             problems.append("data.mode: must be 'iid' or 'non_iid'")
         if self.data.non_iid_concentration <= 0:
             problems.append("data.non_iid_concentration: must be > 0")
-        if problems:
-            raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+        _raise_problems(problems)
 
 
 def build_section(cls, raw: dict, path: str):
-    """Build the dataclass `cls` from one JSON object: unknown keys and
-    mistyped values are rejected, lists become tuples for tuple fields, and
-    the constructor's own checks ("seed: must be ...") gain the path prefix."""
+    """Build the dataclass `cls` from one JSON object: unknown keys, missing
+    fields without a default and mistyped values are rejected, lists become
+    tuples for tuple fields, and the constructor's own checks ("seed: must
+    be ...") gain the path prefix."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    annotations = {f.name: f.type for f in fields(cls)}
+    annotations = _field_types(cls)
     unknown = set(raw) - set(annotations)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    _raise_problems([f"{path}.{f.name}: required" for f in fields(cls)
+                     if f.name not in raw and f.default is MISSING
+                     and f.default_factory is MISSING])
     check_types(annotations, raw, path)
     kwargs = {name: tuple(value) if annotations[name].startswith("tuple[") else value
               for name, value in raw.items()}
     try:
         return cls(**kwargs)
-    except TypeError as exc:  # a required field is missing
-        raise ConfigError(f"{path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}.{exc}") from exc
 

@@ -114,16 +114,22 @@ def _forward(layers, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    """Softmax over the last (class) axis. The row max reduces a class-major
+    copy, so numpy runs it over long contiguous rows instead of the short
+    class axis; max is exact, so the result is bitwise that of
+    logits.max(axis=-1). np.add.reduce is ndarray.sum without its Python
+    wrapper."""
+    shifted = logits - np.maximum.reduce(logits.T.copy()).T[..., None]
     expd = np.exp(shifted)
-    return expd / expd.sum(axis=-1, keepdims=True)
+    return expd / np.add.reduce(expd, axis=-1, keepdims=True)
 
 
 def _backprop(layers, features: np.ndarray, targets: np.ndarray):
     """Mean cross-entropy against target distributions, backpropagated:
     layer inputs [x, h1, ...], softmax probabilities, per-layer output
     deltas [d0, d1, ...] and per-layer gradients (h_i^T d_i, sum of d_i's
-    rows). Same rank rules as _forward."""
+    rows). Same rank rules as _forward. The row sum adds a sample-major
+    copy of d_i row by row, the order of d_i.sum(axis=-2), in one call."""
     hidden, logits = _forward(layers, features)
     probs = _softmax(logits)
     delta = (probs - targets) / features.shape[-2]
@@ -131,7 +137,7 @@ def _backprop(layers, features: np.ndarray, targets: np.ndarray):
     grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         deltas[i] = delta
-        grads[i] = (hidden[i].mT @ delta, delta.sum(axis=-2))
+        grads[i] = (hidden[i].mT @ delta, np.add.reduce(delta.swapaxes(0, -2).copy()))
         if i > 0:
             delta = (delta @ layers[i][0].mT) * (1.0 - hidden[i] ** 2)
     return hidden, probs, deltas, grads
@@ -218,7 +224,7 @@ def matching_loss(params: np.ndarray, config: ModelConfig, features: np.ndarray,
     targets = _softmax(label_logits)
     hidden, probs, deltas, grads = _backprop(layers, features, targets)
     residual = _flatten(grads) - observed
-    value = float(np.sum(residual ** 2))
+    value = float(np.add.reduce(residual ** 2))
     # adjoints of each layer input h_i, and of the running delta
     hidden_bar = []
     delta_bar = None
@@ -234,8 +240,8 @@ def matching_loss(params: np.ndarray, config: ModelConfig, features: np.ndarray,
         delta_bar = d_bar
     # deltas[-1] = (probs - targets) / n
     delta_bar /= features.shape[0]
-    out_bar = probs * (delta_bar - (delta_bar * probs).sum(axis=1, keepdims=True))
-    z_bar = targets * ((delta_bar * targets).sum(axis=1, keepdims=True) - delta_bar)
+    out_bar = probs * (delta_bar - np.add.reduce(delta_bar * probs, axis=1, keepdims=True))
+    z_bar = targets * (np.add.reduce(delta_bar * targets, axis=1, keepdims=True) - delta_bar)
     for i in range(len(layers) - 1, -1, -1):
         hidden_bar[i] += out_bar @ layers[i][0].T
         if i > 0:
@@ -319,6 +325,10 @@ def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
     layers = [(np.repeat(w[None], C, axis=0), np.repeat(b[None], C, axis=0))
               for w, b in unflatten(params, config)]
     for batch_features, batch_targets in batches:
-        layers = [(w - eta * gw, b - eta * gb) for (w, b), (gw, gb)
-                  in zip(layers, _grads(layers, batch_features, batch_targets))]
+        # in place on the repeated copies; bitwise equal to w - eta * gw
+        for (w, b), (gw, gb) in zip(layers, _grads(layers, batch_features, batch_targets)):
+            gw *= eta
+            w -= gw
+            gb *= eta
+            b -= gb
     return _flatten(layers)

@@ -84,6 +84,12 @@ class TestRun:
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert "data.samples_per_client/holdout_samples: " in capsys.readouterr().err
 
+    def test_model_section_without_input_dim_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**RUN_CONFIG, "model": {"num_classes": 3}})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "model.input_dim: required" in err and "__init__" not in err
+
     def test_non_object_section_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, {**RUN_CONFIG, "roster": 5})
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1

@@ -1,6 +1,7 @@
 """Round orchestration: allocation, audits, elimination, aggregation, logging."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,18 @@ class TestConfigValidation:
             cfg.validate()
         message = str(err.value)
         assert "rounds:" in message and "eta:" in message and "defense.beta:" in message
+
+    @pytest.mark.parametrize("section, name", [
+        ("data", "separation"), ("data", "non_iid_concentration"),
+        ("roster", "disguise_variance"), ("roster", "afr_init_variance"),
+        ("defense", "beta"), ("defense", "initial_contribution"),
+        ("defense", "rffl_threshold"), ("privacy", "noise_variance")])
+    def test_nan_field_rejected_from_library_code(self, section, name):
+        base = tiny_config()
+        cfg = replace(base, **{section: replace(getattr(base, section),
+                                                **{name: float("nan")})})
+        with pytest.raises(ConfigError, match=f"{section}.{name}: must be a finite number"):
+            cfg.validate()
 
     def test_unknown_keys_in_dict(self):
         with pytest.raises(ConfigError, match="unknown keys"):
