@@ -152,6 +152,23 @@ class TestDlgReconstruct:
         rec = dlg_reconstruct(cfg, params, observed, (1, 8), dlg)
         assert np.array_equal(rec.features, x0)
 
+    @pytest.mark.parametrize("hidden", [(), (3,)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_loss_start_returns_init_bitwise(self, hidden, n):
+        # the observed gradient is the dummy initialization's own, so the
+        # matching loss is exactly 0 at the start
+        cfg = ModelConfig(5, hidden, 3)
+        params = init_params(cfg, 21)
+        dlg = DLGConfig(50, seed=4)
+        rng = np.random.default_rng(dlg.seed)
+        x0 = rng.uniform(0, 1, (n, 5))
+        z0 = rng.standard_normal((n, 3))
+        expd = np.exp(z0 - z0.max(axis=1, keepdims=True))
+        observed = backward_soft(params, cfg, x0, expd / expd.sum(axis=1, keepdims=True))
+        rec = dlg_reconstruct(cfg, params, observed, (n, 5), dlg)
+        assert np.array_equal(rec.features, x0)
+        assert np.array_equal(rec.labels, z0.argmax(axis=1))
+
     def test_noise_degrades_reconstruction_10x(self):
         cfg, params, raw, grad = single_sample_instance(seed=5)
         clean = dlg_reconstruct(cfg, params, grad, (1, 8), DLGConfig(300, seed=2))
