@@ -42,23 +42,23 @@ class ModelConfig:
         return (self.input_dim, *self.hidden_dims, self.num_classes)
 
     @cached_property
-    def layout(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """Per layer (weights start, bias start, bias end, fan_in, fan_out)
-        in the flat parameter vector; computed once, since unflatten runs
-        in every training step and audit."""
+    def layout(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Per layer (start, end, fan_in, fan_out) in the flat parameter
+        vector, whose slice holds W row-major then b; computed once, since
+        the layer views are taken in every training step and audit."""
         cuts = []
         offset = 0
         dims = self.layer_dims
         for fan_in, fan_out in zip(dims, dims[1:]):
-            bias = offset + fan_in * fan_out
-            cuts.append((offset, bias, bias + fan_out, fan_in, fan_out))
-            offset = bias + fan_out
+            end = offset + (fan_in + 1) * fan_out
+            cuts.append((offset, end, fan_in, fan_out))
+            offset = end
         return tuple(cuts)
 
 
 def param_count(config: ModelConfig) -> int:
     """Total number of parameters (weights plus biases across layers)."""
-    return config.layout[-1][2]
+    return config.layout[-1][1]
 
 
 def init_params(config: ModelConfig, seed: int) -> np.ndarray:
@@ -74,16 +74,23 @@ def init_params(config: ModelConfig, seed: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def unflatten(params: np.ndarray, config: ModelConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat parameter vector into per-layer (W, b) views; a (T, d)
-    stack of vectors gives (T, ...)-stacked views."""
+def _augmented(params: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
+    """Per-layer [W; b] views, (fan_in + 1, fan_out), of a flat parameter
+    vector; a (T, d) stack gives (T, ...)-stacked views. A layer's slice
+    holds W row-major then b, which is that matrix's own row-major layout,
+    so nothing is copied."""
     lead = params.shape[:-1]
     if len(lead) > 1 or params.shape[-1:] != (param_count(config),):
         raise ValueError(
             f"parameter vector has shape {params.shape}, model needs {param_count(config)}")
-    return [(params[..., w_start:b_start].reshape(*lead, fan_in, fan_out),
-             params[..., b_start:b_end])
-            for w_start, b_start, b_end, fan_in, fan_out in config.layout]
+    return [params[..., start:end].reshape(*lead, fan_in + 1, fan_out)
+            for start, end, fan_in, fan_out in config.layout]
+
+
+def unflatten(params: np.ndarray, config: ModelConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split a flat parameter vector into per-layer (W, b) views; a (T, d)
+    stack of vectors gives (T, ...)-stacked views."""
+    return [(wb[..., :-1, :], wb[..., -1, :]) for wb in _augmented(params, config)]
 
 
 def _check_batch(config: ModelConfig, batch: Dataset):
@@ -94,23 +101,33 @@ def _check_batch(config: ModelConfig, batch: Dataset):
             f"batch feature dim {batch.features.shape[1]} != model input_dim {config.input_dim}")
 
 
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """[x, 1]: x with a trailing ones column, the input a [W; b] layer takes."""
+    out = np.empty((*x.shape[:-1], x.shape[-1] + 1))
+    out[..., -1] = 1.0
+    out[..., :-1] = x
+    return out
+
+
 def _forward(layers, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Layer inputs [x, h1, ...] and logits for (n, d) features, or for a
-    (C, n, d) stack under (C, ...)-stacked layers. (n, d) features under
-    (T, ...)-stacked layers give (T, n, ...): T parameter vectors scored on
-    one dataset. Bias and tanh are applied in place, because a second
-    temporary of the output's size costs more than the arithmetic."""
+    """Layer inputs [x, h1, ...] and logits for [W; b] layers and (n, d + 1)
+    features [x, 1], or for a (C, n, d + 1) stack under (C, ...)-stacked
+    layers. (n, d + 1) features under (T, ...)-stacked layers give
+    (T, n, ...): T parameter vectors scored on one dataset. Every layer input
+    carries the ones column, so a layer is one matmul; each hidden layer is
+    written into the first columns of its input array and tanh runs there in
+    place, because a second temporary of the output's size costs more than
+    the arithmetic."""
     hidden = [features]
-    h = features
-    for w, b in layers[:-1]:
-        h = h @ w
-        h += b[..., None, :]
-        np.tanh(h, out=h)
-        hidden.append(h)
-    w_out, b_out = layers[-1]
-    logits = h @ w_out
-    logits += b_out[..., None, :]
-    return hidden, logits
+    for wb in layers[:-1]:
+        h = hidden[-1]
+        lead = np.broadcast_shapes(h.shape[:-2], wb.shape[:-2])
+        aug = np.empty((*lead, h.shape[-2], wb.shape[-1] + 1))
+        aug[..., -1] = 1.0
+        out = np.matmul(h, wb, out=aug[..., :-1])
+        np.tanh(out, out=out)
+        hidden.append(aug)
+    return hidden, hidden[-1] @ layers[-1]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -126,10 +143,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def _backprop(layers, features: np.ndarray, targets: np.ndarray):
     """Mean cross-entropy against target distributions, backpropagated:
-    layer inputs [x, h1, ...], softmax probabilities, per-layer output
-    deltas [d0, d1, ...] and per-layer gradients (h_i^T d_i, sum of d_i's
-    rows). Same rank rules as _forward. The row sum adds a sample-major
-    copy of d_i row by row, the order of d_i.sum(axis=-2), in one call."""
+    layer inputs [[x, 1], [h1, 1], ...], softmax probabilities, per-layer
+    output deltas [d0, d1, ...] and per-layer gradients [h_i, 1]^T d_i,
+    which is [dW; db] in one product. Same rank rules as _forward."""
     hidden, logits = _forward(layers, features)
     probs = _softmax(logits)
     delta = (probs - targets) / features.shape[-2]
@@ -137,24 +153,21 @@ def _backprop(layers, features: np.ndarray, targets: np.ndarray):
     grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         deltas[i] = delta
-        grads[i] = (hidden[i].mT @ delta, np.add.reduce(delta.swapaxes(0, -2).copy()))
+        grads[i] = hidden[i].mT @ delta
         if i > 0:
-            delta = (delta @ layers[i][0].mT) * (1.0 - hidden[i] ** 2)
+            delta = (delta @ layers[i][..., :-1, :].mT) * (1.0 - hidden[i][..., :-1] ** 2)
     return hidden, probs, deltas, grads
 
 
-def _grads(layers, features: np.ndarray,
-           targets: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (dW, db) of mean cross-entropy against target distributions;
+def _grads(layers, features: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
+    """Per-layer [dW; db] of mean cross-entropy against target distributions;
     same rank rules as _forward."""
     return _backprop(layers, features, targets)[3]
 
 
 def _flatten(layers) -> np.ndarray:
-    """Inverse of unflatten; a (C, ...)-stacked layer list gives (C, d)."""
-    lead = layers[0][1].shape[:-1]
-    return np.concatenate([a.reshape(*lead, -1) for layer in layers for a in layer],
-                          axis=-1)
+    """Inverse of _augmented; a (C, ...)-stacked layer list gives (C, d)."""
+    return np.concatenate([wb.reshape(*wb.shape[:-2], -1) for wb in layers], axis=-1)
 
 
 def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
@@ -172,7 +185,7 @@ def forward_loss(params: np.ndarray, config: ModelConfig,
                  batch: Dataset) -> tuple[float, float]:
     """Mean softmax cross-entropy and argmax accuracy on the batch."""
     _check_batch(config, batch)
-    _, logits = _forward(unflatten(params, config), batch.features)
+    _, logits = _forward(_augmented(params, config), _with_ones(batch.features))
     logp = _log_softmax(logits)
     n = len(batch)
     loss = -float(logp[np.arange(n), batch.labels].mean())
@@ -186,7 +199,7 @@ def accuracy(params: np.ndarray, config: ModelConfig,
     of parameter vectors gives the (T,) array of each row's accuracy, equal
     bitwise to scoring the rows one at a time."""
     _check_batch(config, dataset)
-    _, logits = _forward(unflatten(params, config), dataset.features)
+    _, logits = _forward(_augmented(params, config), _with_ones(dataset.features))
     hits = (logits.argmax(axis=-1) == dataset.labels).mean(axis=-1)
     return hits if params.ndim == 2 else float(hits)
 
@@ -194,7 +207,7 @@ def accuracy(params: np.ndarray, config: ModelConfig,
 def backward(params: np.ndarray, config: ModelConfig, batch: Dataset) -> np.ndarray:
     """Gradient of the mean cross-entropy with respect to every parameter."""
     _check_batch(config, batch)
-    return _flatten(_grads(unflatten(params, config), batch.features,
+    return _flatten(_grads(_augmented(params, config), _with_ones(batch.features),
                            _onehot(batch.labels, config.num_classes)))
 
 
@@ -206,7 +219,7 @@ def backward_soft(params: np.ndarray, config: ModelConfig, features: np.ndarray,
         raise ValueError("features must be (n, input_dim)")
     if target_probs.shape != (features.shape[0], config.num_classes):
         raise ValueError("target_probs must be (n, num_classes)")
-    return _flatten(_grads(unflatten(params, config), features, target_probs))
+    return _flatten(_grads(_augmented(params, config), _with_ones(features), target_probs))
 
 
 def matching_loss(params: np.ndarray, config: ModelConfig, features: np.ndarray,
@@ -220,22 +233,23 @@ def matching_loss(params: np.ndarray, config: ModelConfig, features: np.ndarray,
     layer first), then through the softmaxes on the logits and on z, then
     back down the tanh forward pass.
     """
-    layers = unflatten(params, config)
+    layers = _augmented(params, config)
     targets = _softmax(label_logits)
-    hidden, probs, deltas, grads = _backprop(layers, features, targets)
+    hidden, probs, deltas, grads = _backprop(layers, _with_ones(features), targets)
     residual = _flatten(grads) - observed
     value = float(np.add.reduce(residual ** 2))
-    # adjoints of each layer input h_i, and of the running delta
+    # adjoints of each layer input h_i, and of the running delta; hidden[i]
+    # is [h_i, 1], so [h_i, 1] @ [W_bar; b_bar] is h_i @ W_bar + b_bar
     hidden_bar = []
     delta_bar = None
-    for i, ((w, _), (w_bar, b_bar)) in enumerate(
-            zip(layers, unflatten(2.0 * residual, config))):
-        h_bar = deltas[i] @ w_bar.T
-        d_bar = hidden[i] @ w_bar + b_bar
+    for i, (wb, wb_bar) in enumerate(zip(layers, _augmented(2.0 * residual, config))):
+        w, h = wb[:-1], hidden[i][:, :-1]
+        h_bar = deltas[i] @ wb_bar[:-1].T
+        d_bar = hidden[i] @ wb_bar
         if i > 0:
             # deltas[i-1] = (deltas[i] @ w.T) * (1 - h_i^2)
-            d_bar += (delta_bar * (1.0 - hidden[i] ** 2)) @ w
-            h_bar -= 2.0 * delta_bar * (deltas[i] @ w.T) * hidden[i]
+            d_bar += (delta_bar * (1.0 - h ** 2)) @ w
+            h_bar -= 2.0 * delta_bar * (deltas[i] @ w.T) * h
         hidden_bar.append(h_bar)
         delta_bar = d_bar
     # deltas[-1] = (probs - targets) / n
@@ -243,9 +257,9 @@ def matching_loss(params: np.ndarray, config: ModelConfig, features: np.ndarray,
     out_bar = probs * (delta_bar - np.add.reduce(delta_bar * probs, axis=1, keepdims=True))
     z_bar = targets * (np.add.reduce(delta_bar * targets, axis=1, keepdims=True) - delta_bar)
     for i in range(len(layers) - 1, -1, -1):
-        hidden_bar[i] += out_bar @ layers[i][0].T
+        hidden_bar[i] += out_bar @ layers[i][:-1].T
         if i > 0:
-            out_bar = hidden_bar[i] * (1.0 - hidden[i] ** 2)
+            out_bar = hidden_bar[i] * (1.0 - hidden[i][:, :-1] ** 2)
     return value, hidden_bar[0], z_bar
 
 
@@ -312,6 +326,7 @@ def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
     C, n, _ = features.shape
     if labels.shape != (C, n):
         raise ValueError("labels must be (C, n)")
+    features = _with_ones(features)
     onehot = _onehot(labels, config.num_classes)
     if batch_size is None:
         batches = [(features, onehot)] * epochs
@@ -322,13 +337,10 @@ def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
         starts = range(0, n - batch_size + 1, batch_size)
         picks = (perms[:, e, s:s + batch_size] for e in range(epochs) for s in starts)
         batches = ((features[rows, idx], onehot[rows, idx]) for idx in picks)
-    layers = [(np.repeat(w[None], C, axis=0), np.repeat(b[None], C, axis=0))
-              for w, b in unflatten(params, config)]
+    layers = [np.repeat(wb[None], C, axis=0) for wb in _augmented(params, config)]
     for batch_features, batch_targets in batches:
-        # in place on the repeated copies; bitwise equal to w - eta * gw
-        for (w, b), (gw, gb) in zip(layers, _grads(layers, batch_features, batch_targets)):
-            gw *= eta
-            w -= gw
-            gb *= eta
-            b -= gb
+        # in place on the repeated copies; bitwise equal to wb - eta * g
+        for wb, g in zip(layers, _grads(layers, batch_features, batch_targets)):
+            g *= eta
+            wb -= g
     return _flatten(layers)

@@ -10,7 +10,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .data import Dataset
 # backward_soft is not called here; perfbench/spans.py times it under this name
@@ -58,6 +57,13 @@ class DLGConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use: it is most of the time
+    `import fedaudit` would take, and only dlg_reconstruct needs it."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 class ReconstructionDivergedError(RuntimeError):
@@ -164,9 +170,6 @@ def dlg_reconstruct(config: ModelConfig, params: np.ndarray,
 
     bounds = [(0.0, 1.0)] * (n * dim) + [(None, None)] * (n * k)
     try:
-        if objective(u0)[0] == 0.0:
-            # observed gradient already matches the initialization exactly
-            return to_batch(u0)
         result = minimize(objective, u0, jac=True, method="L-BFGS-B", bounds=bounds,
                           options={"maxiter": dlg.iterations})
     except _Diverged:

@@ -7,10 +7,11 @@ import pytest
 
 from fedaudit.clients import fair_update
 from fedaudit.data import Dataset, generate_synthetic
-from fedaudit.model import (AdamState, ModelConfig, _backprop, _forward, _grads,
-                            _softmax, accuracy, adam_step, backward, backward_soft,
-                            epoch_permutations, forward_loss, init_params,
-                            param_count, sgd_step, train_clients, unflatten)
+from fedaudit.model import (AdamState, ModelConfig, _augmented, _backprop, _forward,
+                            _grads, _softmax, _with_ones, accuracy, adam_step, backward,
+                            backward_soft, epoch_permutations, forward_loss,
+                            init_params, param_count, sgd_step, train_clients,
+                            unflatten)
 
 
 def fd_gradient(params, config, batch, step=1e-5):
@@ -157,6 +158,19 @@ class TestForward:
         with pytest.raises(ValueError):
             unflatten(stack[:, 1:], cfg)
 
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_unflatten_views_share_memory_with_params(self, lead):
+        cfg = ModelConfig(4, (5,), 3)
+        params = np.zeros((*lead, param_count(cfg)))
+        for w, b in unflatten(params, cfg):
+            assert np.shares_memory(w, params) and np.shares_memory(b, params)
+            w[...] = 1.0
+            b[...] = 2.0
+        # W row-major then b, layer by layer: [W; b] in the flat vector
+        expected = np.concatenate([np.full(4 * 5, 1.0), np.full(5, 2.0),
+                                   np.full(5 * 3, 1.0), np.full(3, 2.0)])
+        assert np.array_equal(params, np.broadcast_to(expected, params.shape))
+
     def test_dim_mismatch_rejected(self):
         cfg = ModelConfig(4, (), 3)
         batch = small_batch(ModelConfig(5, (), 3), 4)
@@ -236,21 +250,22 @@ class TestKernelReductions:
     @pytest.mark.parametrize("hidden", [(), (5,)])
     @pytest.mark.parametrize("k", [2, 5, 8, 13])
     def test_bias_gradients_bitwise_equal_delta_sums(self, hidden, k):
+        # each layer's gradient is [dW; db]: its last row is the bias gradient
         cfg = ModelConfig(4, hidden, k)
         rng = np.random.default_rng(k)
-        for n in (1, 7, 100):
+        for n in (1, 7, 10, 100):
             for lead in ((), (3,)):
                 params = init_params(cfg, n) + rng.standard_normal(
                     (*lead, param_count(cfg)))
-                layers = unflatten(params, cfg)
-                features = rng.standard_normal((*lead, n, 4))
+                layers = _augmented(params, cfg)
+                features = _with_ones(rng.standard_normal((*lead, n, 4)))
                 targets = rng.dirichlet(np.ones(k), (*lead, n))
                 _, probs, deltas, _ = _backprop(layers, features, targets)
                 logits = _forward(layers, features)[1]
                 assert np.array_equal(probs, reference_softmax(logits))
-                for (_, db), delta in zip(_grads(layers, features, targets), deltas):
-                    assert db.shape == (*lead, delta.shape[-1])
-                    assert np.array_equal(db, delta.sum(axis=-2))
+                for g, delta in zip(_grads(layers, features, targets), deltas):
+                    assert g.shape[-1] == delta.shape[-1] and g.shape[:-2] == lead
+                    assert np.array_equal(g[..., -1, :], delta.sum(axis=-2))
 
 
 class TestSgd:

@@ -1,5 +1,10 @@
 """Privacy transforms and the gradient-matching reconstruction attack."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -154,9 +159,12 @@ class TestDlgReconstruct:
 
     @pytest.mark.parametrize("hidden", [(), (3,)])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_zero_loss_start_returns_init_bitwise(self, hidden, n):
+    def test_zero_loss_start_returns_init_bitwise(self, hidden, n, monkeypatch):
         # the observed gradient is the dummy initialization's own, so the
-        # matching loss is exactly 0 at the start
+        # matching loss is exactly 0 at the start, and one evaluation ends it
+        calls = []
+        monkeypatch.setattr(fedaudit.privacy, "matching_loss",
+                            lambda *args: calls.append(args) or matching_loss(*args))
         cfg = ModelConfig(5, hidden, 3)
         params = init_params(cfg, 21)
         dlg = DLGConfig(50, seed=4)
@@ -168,6 +176,7 @@ class TestDlgReconstruct:
         rec = dlg_reconstruct(cfg, params, observed, (n, 5), dlg)
         assert np.array_equal(rec.features, x0)
         assert np.array_equal(rec.labels, z0.argmax(axis=1))
+        assert len(calls) == 1
 
     def test_noise_degrades_reconstruction_10x(self):
         cfg, params, raw, grad = single_sample_instance(seed=5)
@@ -223,6 +232,15 @@ class TestDlgReconstruct:
         cfg, params, _, grad = single_sample_instance()
         with pytest.raises(ValueError):
             dlg_reconstruct(cfg, params, grad[:-1], (1, 8), DLGConfig(10))
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported on the first reconstruction, not with the package
+    src = str(Path(fedaudit.__file__).resolve().parents[1])
+    code = "import sys, fedaudit; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestMatchingLoss:
