@@ -114,10 +114,10 @@ def _forward(layers, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray
     features [x, 1], or for a (C, n, d + 1) stack under (C, ...)-stacked
     layers. (n, d + 1) features under (T, ...)-stacked layers give
     (T, n, ...): T parameter vectors scored on one dataset. Every layer input
-    carries the ones column, so a layer is one matmul; each hidden layer is
-    written into the first columns of its input array and tanh runs there in
-    place, because a second temporary of the output's size costs more than
-    the arithmetic."""
+    carries the ones column, so a layer is one matmul. A hidden layer's
+    product is written into the first columns of an array whose last column
+    is 1, and tanh runs there in place, because a second temporary of the
+    output's size costs more than the arithmetic."""
     hidden = [features]
     for wb in layers[:-1]:
         h = hidden[-1]
