@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic outputs."""
 
 import json
+import struct
 
 import pytest
 
@@ -230,6 +231,19 @@ class TestDlg:
         assert main(["dlg", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "dlg.iterations: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [
+        ({"num_classes": 1}, "num_classes"),
+        ({"input_dim": 0}, "input_dim"),
+        ({"hidden_dims": [0]}, "hidden_dims"),
+        ({"noise_variances": [-1.0]}, "noise_variances"),
+        ({"prune_rates": [1.5]}, "prune_rates"),
+        ({"prune_rates": [-0.5]}, "prune_rates"),
+    ])
+    def test_dlg_out_of_range_exits_1(self, tmp_path, capsys, section, key):
+        path = write_config(tmp_path, {**RUN_CONFIG, "dlg": section})
+        assert main(["dlg", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: dlg.{key}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, argv", [({"seed": -1}, []),
                                                ({"seed": "1"}, []),
                                                ({}, ["--seed", "-3"])])
@@ -237,3 +251,25 @@ class TestDlg:
         path = write_config(tmp_path, {**RUN_CONFIG, "dlg": section})
         assert main(["dlg", "--config", path, "--out", str(tmp_path / "o"), *argv]) == 1
         assert "dlg.seed: must be an integer" in capsys.readouterr().err
+
+
+class TestIdxBoundary:
+    def idx_config(self, tmp_path, images, labels):
+        data = {**RUN_CONFIG["data"], "source": "idx",
+                "images_path": str(images), "labels_path": str(labels)}
+        return write_config(tmp_path, {**RUN_CONFIG, "data": data})
+
+    def test_missing_idx_file_exits_1(self, tmp_path, capsys):
+        path = self.idx_config(tmp_path, tmp_path / "no-images", tmp_path / "no-labels")
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "config error: data.images_path/labels_path: " in capsys.readouterr().err
+
+    def test_bad_magic_exits_1(self, tmp_path, capsys):
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 1, 1, 3) + bytes(3))
+        labels.write_bytes(struct.pack(">II", 0x00000802, 1) + bytes(1))
+        path = self.idx_config(tmp_path, images, labels)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: data.images_path/labels_path: " in err
+        assert "magic" in err

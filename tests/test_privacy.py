@@ -228,6 +228,11 @@ class TestDlgReconstruct:
         assert result.nit > 10
         assert result.nfev <= 3 * result.nit + 5
 
+    def test_zero_iterations_rejected(self):
+        cfg, params, _, grad = single_sample_instance()
+        with pytest.raises(ValueError, match="iterations"):
+            dlg_reconstruct(cfg, params, grad, (1, 8), iterations=0)
+
     def test_gradient_dim_checked(self):
         cfg, params, _, grad = single_sample_instance()
         with pytest.raises(ValueError):
