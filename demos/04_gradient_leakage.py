@@ -10,8 +10,8 @@ original CNN-scale evaluation (labeled; not reproduced at this scale).
 
 import numpy as np
 
-from fedaudit import (DLGConfig, Dataset, ModelConfig, backward, dlg_reconstruct,
-                      init_params, reconstruction_mse)
+from fedaudit import (Dataset, ModelConfig, backward, dlg_reconstruct, init_params,
+                      reconstruction_mse)
 from fedaudit.reporting import dlg_csv_text
 from fedaudit.simulator import DLGExperimentConfig, run_dlg_experiment
 
@@ -21,7 +21,7 @@ rng = np.random.default_rng(3)
 params = init_params(model, 42)
 raw = Dataset(rng.uniform(0, 1, (1, 8)), rng.integers(0, 2, 1), 2)
 gradient = backward(params, model, raw)
-recon = dlg_reconstruct(model, params, gradient, (1, 8), DLGConfig(300, seed=0))
+recon = dlg_reconstruct(model, params, gradient, (1, 8), iterations=300, seed=0)
 print("raw sample:    ", np.round(raw.features[0], 3))
 print("reconstructed: ", np.round(recon.features[0], 3))
 print(f"reconstruction MSE: {reconstruction_mse(raw, recon):.2e}\n")

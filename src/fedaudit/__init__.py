@@ -18,7 +18,7 @@ from .defense import (AuditMatrix, ContributionLedger, audit_peer_update,
 from .model import (AdamState, ModelConfig, accuracy, adam_step, backward,
                     backward_soft, forward_loss, init_params, param_count,
                     sgd_step, unflatten)
-from .privacy import (DEFENDED_MSE_THRESHOLD, DLGConfig, PrivacyConfig,
+from .privacy import (DEFENDED_MSE_THRESHOLD, PrivacyConfig,
                       ReconstructionDivergedError, add_gaussian_noise,
                       apply_privacy, dlg_reconstruct, leak_gradient,
                       prune_update, reconstruction_mse)

@@ -64,14 +64,11 @@ def param_count(config: ModelConfig) -> int:
 def init_params(config: ModelConfig, seed: int) -> np.ndarray:
     """Uniform weights in +-1/sqrt(fan_in), zero biases. Deterministic per seed."""
     rng = np.random.default_rng(seed)
-    dims = config.layer_dims
-    chunks = []
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
+    params = np.zeros(param_count(config))
+    for start, _, fan_in, fan_out in config.layout:
         bound = 1.0 / np.sqrt(fan_in)
-        chunks.append(rng.uniform(-bound, bound, fan_in * fan_out))
-        chunks.append(np.zeros(fan_out))
-    return np.concatenate(chunks)
+        params[start:start + fan_in * fan_out] = rng.uniform(-bound, bound, fan_in * fan_out)
+    return params
 
 
 def _augmented(params: np.ndarray, config: ModelConfig) -> list[np.ndarray]:

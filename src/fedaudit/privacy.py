@@ -47,18 +47,6 @@ class PrivacyConfig:
             raise ValueError(f"prune_mode: {self.prune_mode!r} not one of ('mask', 'scale')")
 
 
-@dataclass(frozen=True)
-class DLGConfig:
-    """Budget for the gradient-matching reconstruction."""
-
-    iterations: int = 300
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-
-
 def minimize(*args, **kwargs):
     """scipy.optimize.minimize, imported on first use: it is most of the time
     `import fedaudit` would take, and only dlg_reconstruct needs it."""
@@ -127,22 +115,25 @@ def reconstruction_mse(raw: Dataset, reconstructed: Dataset) -> float:
 
 def dlg_reconstruct(config: ModelConfig, params: np.ndarray,
                     observed_gradient: np.ndarray, batch_shape: tuple[int, int],
-                    dlg: DLGConfig) -> Dataset:
+                    iterations: int = 300, seed: int = 0) -> Dataset:
     """Reconstruct a batch whose gradient at `params` matches `observed_gradient`.
 
     Dummy features (kept inside the normalized [0,1] box, like the raw
-    inputs) and soft labels are optimized jointly with L-BFGS for at most
-    dlg.iterations iterations, on the matching loss and its exact gradient
-    (model.matching_loss). Returns the final dummy batch with argmax labels.
-    Raises ReconstructionDivergedError if the matching loss goes non-finite.
+    inputs) and soft labels, drawn from `seed`, are optimized jointly with
+    L-BFGS for at most `iterations` iterations, on the matching loss and its
+    exact gradient (model.matching_loss). Returns the final dummy batch with
+    argmax labels. Raises ReconstructionDivergedError if the matching loss
+    goes non-finite.
     """
+    if iterations < 1:
+        raise ValueError("iterations: must be >= 1")
     n, dim = batch_shape
     if dim != config.input_dim:
         raise ValueError("batch_shape feature dim must equal the model input_dim")
     if observed_gradient.shape != (param_count(config),):
         raise ValueError("observed_gradient does not match the model's parameter count")
     k = config.num_classes
-    rng = np.random.default_rng(dlg.seed)
+    rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, 1.0, (n, dim))
     z0 = rng.standard_normal((n, k))
     u0 = np.concatenate([x0.ravel(), z0.ravel()])
@@ -152,29 +143,24 @@ def dlg_reconstruct(config: ModelConfig, params: np.ndarray,
         z = u[n * dim:].reshape(n, k)
         return x, z
 
-    last_finite = {"u": u0.copy()}
-
-    class _Diverged(Exception):
-        pass
-
-    def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
-        val, x_grad, z_grad = matching_loss(params, config, *unpack(u), observed_gradient)
-        if not np.isfinite(val):
-            raise _Diverged
-        last_finite["u"] = u.copy()
-        return val, np.concatenate([x_grad.ravel(), z_grad.ravel()])
-
     def to_batch(u: np.ndarray) -> Dataset:
         x, z = unpack(u)
         return Dataset(x, z.argmax(axis=1), k)
 
+    last_finite = {"u": u0.copy()}
+
+    def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
+        val, x_grad, z_grad = matching_loss(params, config, *unpack(u), observed_gradient)
+        if not np.isfinite(val):
+            # scipy's minimize lets the exception through to the caller
+            raise ReconstructionDivergedError(
+                "matching loss went non-finite during reconstruction",
+                to_batch(last_finite["u"]))
+        last_finite["u"] = u.copy()
+        return val, np.concatenate([x_grad.ravel(), z_grad.ravel()])
+
     bounds = [(0.0, 1.0)] * (n * dim) + [(None, None)] * (n * k)
-    try:
-        result = minimize(objective, u0, jac=True, method="L-BFGS-B", bounds=bounds,
-                          options={"maxiter": dlg.iterations})
-    except _Diverged:
-        raise ReconstructionDivergedError(
-            "matching loss went non-finite during reconstruction",
-            to_batch(last_finite["u"])) from None
+    result = minimize(objective, u0, jac=True, method="L-BFGS-B", bounds=bounds,
+                      options={"maxiter": iterations})
     u_final = result.x if np.all(np.isfinite(result.x)) else last_finite["u"]
     return to_batch(u_final)

@@ -41,8 +41,7 @@ def standard_config(fair: int = 10, plain: int = 0, disguised: int = 0,
                     anonymous: int = 0, selfish: int = 0, *, seed: int = 0,
                     rounds: int = 100, defense: str = "pass",
                     aggregator: str = "fedavg", privacy_on: bool = True,
-                    beta: float = 1.75, alpha: float = 0.95,
-                    threshold_mode: str = "initial",
+                    alpha: float = 0.95,
                     local_epochs: int = LOCAL_EPOCHS) -> ExperimentConfig:
     """Build the tuned adversarial scenario for a given roster and defense."""
     privacy = PrivacyConfig(1e-2, 0.9) if privacy_on else PrivacyConfig(0.0, 0.0)
@@ -65,8 +64,8 @@ def standard_config(fair: int = 10, plain: int = 0, disguised: int = 0,
         roster=RosterConfig(fair=fair, plain=plain, disguised=disguised,
                             anonymous=anonymous, selfish=selfish),
         aggregator=AggregatorConfig(kind=aggregator),
-        defense=DefenseSettings(kind=defense, alpha=alpha, beta=beta,
-                                threshold_mode=threshold_mode),
+        defense=DefenseSettings(kind=defense, alpha=alpha, beta=1.75,
+                                threshold_mode="initial"),
         privacy=privacy,
     )
 

@@ -13,24 +13,24 @@ contribution update lands in round 2.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import aggregation
 from .clients import (AnonymousFreeRider, Client, DisguisedFreeRider, FairClient,
                       PlainFreeRider, SelfishFreeRider)
-from .config import ConfigError, ExperimentConfig, check_types
-from .data import Dataset, PartitionSpec, generate_synthetic, load_idx, partition
+from .config import ConfigError, ExperimentConfig, _is_integer, check_types
+from .data import (Dataset, IdxFormatError, PartitionSpec, generate_synthetic, load_idx,
+                   partition)
 from .defense import (AuditMatrix, ContributionLedger, contribution_step,
                       cosine_contribution_step, defense_success_rate,
                       eliminate_low_contributors, false_positive_rate)
 from .model import (ModelConfig, accuracy, backward, epoch_permutations,
                     init_params, param_count, train_clients)
-from .privacy import (DLGConfig, ReconstructionDivergedError,
-                      apply_privacy, dlg_reconstruct, reconstruction_mse,
-                      DEFENDED_MSE_THRESHOLD)
+from .privacy import (ReconstructionDivergedError, apply_privacy, dlg_reconstruct,
+                      reconstruction_mse, DEFENDED_MSE_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,16 @@ class Simulation:
                 pool_n + cfg.data.holdout_samples, cfg.data.separation,
                 _seed_int(data_seq))
         else:
-            full = load_idx(cfg.data.images_path, cfg.data.labels_path)
+            try:
+                full = load_idx(cfg.data.images_path, cfg.data.labels_path)
+            except (OSError, IdxFormatError) as exc:
+                raise ConfigError(f"data.images_path/labels_path: {exc}") from exc
             if cfg.model.input_dim != full.input_dim:
                 raise ConfigError(
                     f"model.input_dim: {cfg.model.input_dim} != IDX image dim {full.input_dim}")
+            if cfg.model.num_classes < full.num_classes:
+                raise ConfigError(f"model.num_classes: {cfg.model.num_classes} < IDX label "
+                                  f"classes {full.num_classes}")
             if len(full) < pool_n + cfg.data.holdout_samples:
                 raise ConfigError(
                     f"data: IDX dataset has {len(full)} samples, "
@@ -430,13 +436,17 @@ class DLGExperimentConfig:
             raise ValueError("iterations: must be >= 1")
         if self.batch_samples < 1:
             raise ValueError("batch_samples: must be >= 1")
-        if (not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool)
-                or self.seed < 0):
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError("seed: must be an integer >= 0")
+        if any(nv < 0 for nv in self.noise_variances):
+            raise ValueError("noise_variances: every value must be >= 0")
+        if not all(0 <= pr < 1 for pr in self.prune_rates):
+            raise ValueError("prune_rates: every value must lie in [0, 1)")
+        self.model  # built here so that ModelConfig's own checks reject bad dims
 
-    @property
+    @cached_property
     def model(self) -> ModelConfig:
-        return ModelConfig(self.input_dim, tuple(self.hidden_dims), self.num_classes)
+        return ModelConfig(self.input_dim, self.hidden_dims, self.num_classes)
 
 
 @dataclass(frozen=True)
@@ -486,8 +496,7 @@ def run_dlg_experiment(cfg: DLGExperimentConfig) -> list[DLGCell]:
                 try:
                     rec = dlg_reconstruct(
                         model, params, observed,
-                        (cfg.batch_samples, cfg.input_dim),
-                        DLGConfig(cfg.iterations, seed=dlg_seed))
+                        (cfg.batch_samples, cfg.input_dim), cfg.iterations, dlg_seed)
                 except ReconstructionDivergedError:
                     diverged[(nv, pr)] += 1
                     continue

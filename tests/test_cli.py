@@ -273,3 +273,11 @@ class TestIdxBoundary:
         err = capsys.readouterr().err
         assert "config error: data.images_path/labels_path: " in err
         assert "magic" in err
+
+    def test_labels_beyond_model_classes_exit_1(self, tmp_path, capsys):
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 200, 1, 3) + bytes(600))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 200) + bytes(range(5)) * 40)
+        path = self.idx_config(tmp_path, images, labels)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "config error: model.num_classes: 3 < IDX label classes 5" in capsys.readouterr().err

@@ -12,7 +12,7 @@ import fedaudit.privacy
 from fedaudit.data import Dataset
 from fedaudit.model import (ModelConfig, backward, backward_soft, init_params,
                             matching_loss, param_count, sgd_step)
-from fedaudit.privacy import (DEFENDED_MSE_THRESHOLD, DLGConfig, PrivacyConfig,
+from fedaudit.privacy import (DEFENDED_MSE_THRESHOLD, PrivacyConfig,
                               PUBLISHED_MSE, PUBLISHED_NOISE_LEVELS,
                               PUBLISHED_PRUNE_RATES, ReconstructionDivergedError,
                               add_gaussian_noise, apply_privacy, dlg_reconstruct,
@@ -142,19 +142,18 @@ class TestReconstructionMse:
 class TestDlgReconstruct:
     def test_exact_gradient_recovers_sample(self):
         cfg, params, raw, grad = single_sample_instance(seed=3)
-        rec = dlg_reconstruct(cfg, params, grad, (1, 8), DLGConfig(300, seed=1))
+        rec = dlg_reconstruct(cfg, params, grad, (1, 8), iterations=300, seed=1)
         assert reconstruction_mse(raw, rec) < 1e-2
 
     def test_fixed_point_returns_init_unchanged(self):
         cfg, params, _, _ = single_sample_instance(seed=4)
-        dlg = DLGConfig(50, seed=9)
         # compute the gradient the dummy initialization itself induces
-        rng = np.random.default_rng(dlg.seed)
+        rng = np.random.default_rng(9)
         x0 = rng.uniform(0, 1, (1, 8))
         z0 = rng.standard_normal((1, 2))
         soft = np.exp(z0 - z0.max()) / np.exp(z0 - z0.max()).sum()
         observed = backward_soft(params, cfg, x0, soft)
-        rec = dlg_reconstruct(cfg, params, observed, (1, 8), dlg)
+        rec = dlg_reconstruct(cfg, params, observed, (1, 8), iterations=50, seed=9)
         assert np.array_equal(rec.features, x0)
 
     @pytest.mark.parametrize("hidden", [(), (3,)])
@@ -167,24 +166,23 @@ class TestDlgReconstruct:
                             lambda *args: calls.append(args) or matching_loss(*args))
         cfg = ModelConfig(5, hidden, 3)
         params = init_params(cfg, 21)
-        dlg = DLGConfig(50, seed=4)
-        rng = np.random.default_rng(dlg.seed)
+        rng = np.random.default_rng(4)
         x0 = rng.uniform(0, 1, (n, 5))
         z0 = rng.standard_normal((n, 3))
         expd = np.exp(z0 - z0.max(axis=1, keepdims=True))
         observed = backward_soft(params, cfg, x0, expd / expd.sum(axis=1, keepdims=True))
-        rec = dlg_reconstruct(cfg, params, observed, (n, 5), dlg)
+        rec = dlg_reconstruct(cfg, params, observed, (n, 5), iterations=50, seed=4)
         assert np.array_equal(rec.features, x0)
         assert np.array_equal(rec.labels, z0.argmax(axis=1))
         assert len(calls) == 1
 
     def test_noise_degrades_reconstruction_10x(self):
         cfg, params, raw, grad = single_sample_instance(seed=5)
-        clean = dlg_reconstruct(cfg, params, grad, (1, 8), DLGConfig(300, seed=2))
+        clean = dlg_reconstruct(cfg, params, grad, (1, 8), iterations=300, seed=2)
         rng = np.random.default_rng(8)
         noised_grad = grad + rng.normal(0, np.sqrt(1e-1), grad.shape)
         noised = dlg_reconstruct(cfg, params, noised_grad, (1, 8),
-                                 DLGConfig(300, seed=2))
+                                 iterations=300, seed=2)
         assert (reconstruction_mse(raw, noised)
                 >= 10 * reconstruction_mse(raw, clean))
 
@@ -193,7 +191,7 @@ class TestDlgReconstruct:
         bad = grad.copy()
         bad[0] = np.nan
         with pytest.raises(ReconstructionDivergedError) as err:
-            dlg_reconstruct(cfg, params, bad, (1, 8), DLGConfig(50, seed=0))
+            dlg_reconstruct(cfg, params, bad, (1, 8), iterations=50, seed=0)
         assert err.value.last_batch.features.shape == (1, 8)
 
     def test_noise_monotonicity_without_prune(self):
@@ -206,7 +204,7 @@ class TestDlgReconstruct:
             mses = []
             for dlg_seed in range(5):
                 rec = dlg_reconstruct(cfg, params, grad + np.sqrt(nv) * direction,
-                                      (1, 8), DLGConfig(200, seed=dlg_seed))
+                                      (1, 8), iterations=200, seed=dlg_seed)
                 mses.append(reconstruction_mse(raw, rec))
             medians.append(float(np.median(mses)))
         assert medians[0] <= medians[1] <= medians[2]
@@ -223,7 +221,7 @@ class TestDlgReconstruct:
 
         monkeypatch.setattr(fedaudit.privacy, "minimize", recording_minimize)
         cfg, params, _, grad = single_sample_instance(seed=3)
-        dlg_reconstruct(cfg, params, grad, (1, 8), DLGConfig(300, seed=1))
+        dlg_reconstruct(cfg, params, grad, (1, 8), iterations=300, seed=1)
         (result,) = results
         assert result.nit > 10
         assert result.nfev <= 3 * result.nit + 5
@@ -236,7 +234,7 @@ class TestDlgReconstruct:
     def test_gradient_dim_checked(self):
         cfg, params, _, grad = single_sample_instance()
         with pytest.raises(ValueError):
-            dlg_reconstruct(cfg, params, grad[:-1], (1, 8), DLGConfig(10))
+            dlg_reconstruct(cfg, params, grad[:-1], (1, 8), iterations=10)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
