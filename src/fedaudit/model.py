@@ -106,46 +106,105 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward(layers, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Layer inputs [x, h1, ...] and logits for [W; b] layers and (n, d + 1)
-    features [x, 1], or for a (C, n, d + 1) stack under (C, ...)-stacked
-    layers. (n, d + 1) features under (T, ...)-stacked layers give
-    (T, n, ...): T parameter vectors scored on one dataset. Every layer input
-    carries the ones column, so a layer is one matmul. A hidden layer's
+def _lead(h: np.ndarray, wb: np.ndarray) -> tuple[int, ...]:
+    """Stack shape of the product h @ wb. Each operand's stack is () or the
+    shared one, so the first non-empty one is it; np.broadcast_shapes costs
+    microseconds a call, which shows on the smallest training steps."""
+    return h.shape[:-2] or wb.shape[:-2]
+
+
+def _forward(layers, features: np.ndarray) -> list[np.ndarray]:
+    """Layer inputs [x, h1, ...] for [W; b] layers and (n, d + 1) features
+    [x, 1], or for a (C, n, d + 1) stack under (C, ...)-stacked layers.
+    (n, d + 1) features under (T, ...)-stacked layers give (T, n, ...): T
+    parameter vectors scored on one dataset. The output layer's product is
+    the caller's: hidden[-1] @ layers[-1] gives row-major logits. Every layer
+    input carries the ones column, so a layer is one matmul. A hidden layer's
     product is written into the first columns of an array whose last column
     is 1, and tanh runs there in place, because a second temporary of the
     output's size costs more than the arithmetic."""
     hidden = [features]
     for wb in layers[:-1]:
         h = hidden[-1]
-        lead = np.broadcast_shapes(h.shape[:-2], wb.shape[:-2])
-        aug = np.empty((*lead, h.shape[-2], wb.shape[-1] + 1))
+        aug = np.empty((*_lead(h, wb), h.shape[-2], wb.shape[-1] + 1))
         aug[..., -1] = 1.0
         out = np.matmul(h, wb, out=aug[..., :-1])
         np.tanh(out, out=out)
         hidden.append(aug)
-    return hidden, hidden[-1] @ layers[-1]
+    return hidden
+
+
+def _class_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the leading (class) axis, bitwise equal to np.add.reduce over
+    a row-major class axis: numpy's pairwise order, replayed on whole class
+    rows. Under 8 terms numpy adds in sequence; up to 128 it keeps eight
+    strided accumulators, adds them as a tree and then the remainder in
+    sequence; above 128 it splits in halves cut at a multiple of 8. The tree
+    adds one pair of rows at a time, which on 8 classes beats adding
+    strided stacks of rows."""
+    k = x.shape[0]
+    if k < 8:
+        return np.add.reduce(x, axis=0)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _class_sum(x[:half]) + _class_sum(x[half:])
+    tail = k - k % 8
+    acc = x
+    if tail > 8:
+        acc = x[:8] + x[8:16]
+        for i in range(16, tail, 8):
+            acc += x[i:i + 8]
+    out = acc[0] + acc[1]
+    out += acc[2] + acc[3]
+    right = acc[4] + acc[5]
+    right += acc[6] + acc[7]
+    out += right
+    for i in range(tail, k):
+        out += x[i]
+    return out
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last (class) axis. The row max reduces a class-major
-    copy, so numpy runs it over long contiguous rows instead of the short
-    class axis; max is exact, so the result is bitwise that of
-    logits.max(axis=-1). np.add.reduce is ndarray.sum without its Python
-    wrapper."""
-    shifted = logits - np.maximum.reduce(logits.T.copy()).T[..., None]
-    expd = np.exp(shifted)
-    return expd / np.add.reduce(expd, axis=-1, keepdims=True)
+    """Softmax over the leading (class) axis of class-first (k, ...) logits.
+    Every max, exp, sum and divide runs over whole class rows rather than
+    many short class vectors. max is exact and _class_sum keeps numpy's
+    order, so the result is bitwise that of a row-major softmax over the
+    last axis."""
+    probs = logits - np.maximum.reduce(logits, axis=0)
+    np.exp(probs, out=probs)
+    probs /= _class_sum(probs)
+    return probs
 
 
 def _backprop(layers, features: np.ndarray, targets: np.ndarray):
-    """Mean cross-entropy against target distributions, backpropagated:
-    layer inputs [[x, 1], [h1, 1], ...], softmax probabilities, per-layer
-    output deltas [d0, d1, ...] and per-layer gradients [h_i, 1]^T d_i,
-    which is [dW; db] in one product. Same rank rules as _forward."""
-    hidden, logits = _forward(layers, features)
+    """Mean cross-entropy against class-first (k, *lead, n) target
+    distributions, backpropagated: layer inputs [[x, 1], [h1, 1], ...],
+    class-first softmax probabilities, per-layer output deltas [d0, d1, ...]
+    and per-layer gradients [h_i, 1]^T d_i, which is [dW; db] in one product.
+    Same rank rules as _forward; lead is the stack shape, at most one axis,
+    and (k, 1, n) targets serve every row of a (T, ...) stack on one dataset.
+
+    The output layer is class-first: its logits are written as wb^T h^T into
+    a (k, *lead, n) buffer, where the softmax and the output delta
+    (probs - targets) / n are formed. That delta reaches the gradient
+    product as a column-major (*lead, n, k) view; hidden deltas are
+    row-major."""
+    hidden = _forward(layers, features)
+    h, wb = hidden[-1], layers[-1]
+    n = h.shape[-2]
+    lead = _lead(h, wb)
+    if lead:
+        # each stacked (k, n) product goes into the class rows of a (k, C, n)
+        # buffer; one unstacked product is that buffer already, and skipping
+        # the allocation shows on the leakage attack's single-sample steps
+        logits = np.empty((wb.shape[-1], *lead, n))
+        np.matmul(wb.mT, h.mT, out=logits.swapaxes(0, -2))
+    else:
+        logits = wb.mT @ h.mT
     probs = _softmax(logits)
-    delta = (probs - targets) / features.shape[-2]
+    np.subtract(probs, targets, out=logits)
+    logits /= n
+    delta = logits.swapaxes(0, -2).mT
     deltas = [None] * len(layers)
     grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
@@ -157,8 +216,8 @@ def _backprop(layers, features: np.ndarray, targets: np.ndarray):
 
 
 def _grads(layers, features: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
-    """Per-layer [dW; db] of mean cross-entropy against target distributions;
-    same rank rules as _forward."""
+    """Per-layer [dW; db] of mean cross-entropy against class-first
+    (k, *lead, n) target distributions; same rank rules as _forward."""
     return _backprop(layers, features, targets)[3]
 
 
@@ -168,9 +227,8 @@ def _flatten(layers) -> np.ndarray:
 
 
 def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
-    onehot = np.zeros((*labels.shape, k))
-    np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
-    return onehot
+    """Class-first one-hot targets, (k, *labels.shape)."""
+    return np.equal.outer(np.arange(k), labels).astype(np.float64)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -182,7 +240,8 @@ def forward_loss(params: np.ndarray, config: ModelConfig,
                  batch: Dataset) -> tuple[float, float]:
     """Mean softmax cross-entropy and argmax accuracy on the batch."""
     _check_batch(config, batch)
-    _, logits = _forward(_augmented(params, config), _with_ones(batch.features))
+    layers = _augmented(params, config)
+    logits = _forward(layers, _with_ones(batch.features))[-1] @ layers[-1]
     logp = _log_softmax(logits)
     n = len(batch)
     loss = -float(logp[np.arange(n), batch.labels].mean())
@@ -196,7 +255,8 @@ def accuracy(params: np.ndarray, config: ModelConfig,
     of parameter vectors gives the (T,) array of each row's accuracy, equal
     bitwise to scoring the rows one at a time."""
     _check_batch(config, dataset)
-    _, logits = _forward(_augmented(params, config), _with_ones(dataset.features))
+    layers = _augmented(params, config)
+    logits = _forward(layers, _with_ones(dataset.features))[-1] @ layers[-1]
     hits = (logits.argmax(axis=-1) == dataset.labels).mean(axis=-1)
     return hits if params.ndim == 2 else float(hits)
 
@@ -216,7 +276,7 @@ def backward_soft(params: np.ndarray, config: ModelConfig, features: np.ndarray,
         raise ValueError("features must be (n, input_dim)")
     if target_probs.shape != (features.shape[0], config.num_classes):
         raise ValueError("target_probs must be (n, num_classes)")
-    return _flatten(_grads(_augmented(params, config), _with_ones(features), target_probs))
+    return _flatten(_grads(_augmented(params, config), _with_ones(features), target_probs.T))
 
 
 def matching_loss(params: np.ndarray, config: ModelConfig, features: np.ndarray,
@@ -231,8 +291,12 @@ def matching_loss(params: np.ndarray, config: ModelConfig, features: np.ndarray,
     back down the tanh forward pass.
     """
     layers = _augmented(params, config)
-    targets = _softmax(label_logits)
+    targets = _softmax(label_logits.T)
     hidden, probs, deltas, grads = _backprop(layers, _with_ones(features), targets)
+    # the adjoint below runs row-major, on (n, k) views of the class-first
+    # arrays; numpy lays out a product of a row-major and a column-major
+    # operand row-major, so its class sums keep numpy's pairwise order
+    probs, targets = probs.T, targets.T
     residual = _flatten(grads) - observed
     value = float(np.add.reduce(residual ** 2))
     # adjoints of each layer input h_i, and of the running delta; hidden[i]
@@ -240,11 +304,11 @@ def matching_loss(params: np.ndarray, config: ModelConfig, features: np.ndarray,
     hidden_bar = []
     delta_bar = None
     for i, (wb, wb_bar) in enumerate(zip(layers, _augmented(2.0 * residual, config))):
-        w, h = wb[:-1], hidden[i][:, :-1]
         h_bar = deltas[i] @ wb_bar[:-1].T
         d_bar = hidden[i] @ wb_bar
         if i > 0:
             # deltas[i-1] = (deltas[i] @ w.T) * (1 - h_i^2)
+            w, h = wb[:-1], hidden[i][:, :-1]
             d_bar += (delta_bar * (1.0 - h ** 2)) @ w
             h_bar -= 2.0 * delta_bar * (deltas[i] @ w.T) * h
         hidden_bar.append(h_bar)
@@ -324,16 +388,19 @@ def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
     if labels.shape != (C, n):
         raise ValueError("labels must be (C, n)")
     features = _with_ones(features)
-    onehot = _onehot(labels, config.num_classes)
+    targets = _onehot(labels, config.num_classes)
     if batch_size is None:
-        batches = [(features, onehot)] * epochs
+        batches = [(features, targets)] * epochs
     else:
         if perms is None or perms.shape != (C, epochs, n):
             raise ValueError("minibatch training needs perms of shape (C, epochs, n)")
+        # one gather per epoch; each step takes views of its batch_size columns
         rows = np.arange(C)[:, None]
-        starts = range(0, n - batch_size + 1, batch_size)
-        picks = (perms[:, e, s:s + batch_size] for e in range(epochs) for s in starts)
-        batches = ((features[rows, idx], onehot[rows, idx]) for idx in picks)
+        stop = n - n % batch_size
+        gathered = ((features[rows, idx], targets[:, rows, idx])
+                    for idx in perms[:, :, :stop].swapaxes(0, 1))
+        batches = ((f[:, s:s + batch_size], t[..., s:s + batch_size])
+                   for f, t in gathered for s in range(0, stop, batch_size))
     layers = [np.repeat(wb[None], C, axis=0) for wb in _augmented(params, config)]
     for batch_features, batch_targets in batches:
         # in place on the repeated copies; bitwise equal to wb - eta * g

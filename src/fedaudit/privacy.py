@@ -7,6 +7,7 @@ prune stay zero even though noise was added before them.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +152,7 @@ def dlg_reconstruct(config: ModelConfig, params: np.ndarray,
 
     def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
         val, x_grad, z_grad = matching_loss(params, config, *unpack(u), observed_gradient)
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             # scipy's minimize lets the exception through to the caller
             raise ReconstructionDivergedError(
                 "matching loss went non-finite during reconstruction",

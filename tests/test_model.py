@@ -7,9 +7,9 @@ import pytest
 
 from fedaudit.clients import fair_update
 from fedaudit.data import Dataset, generate_synthetic
-from fedaudit.model import (AdamState, ModelConfig, _augmented, _backprop, _forward,
-                            _grads, _softmax, _with_ones, accuracy, adam_step, backward,
-                            backward_soft, epoch_permutations, forward_loss,
+from fedaudit.model import (AdamState, ModelConfig, _augmented, _backprop, _class_sum,
+                            _forward, _grads, _softmax, _with_ones, accuracy, adam_step,
+                            backward, backward_soft, epoch_permutations, forward_loss,
                             init_params, param_count, sgd_step, train_clients,
                             unflatten)
 
@@ -223,6 +223,12 @@ def reference_softmax(logits):
     return expd / expd.sum(axis=-1, keepdims=True)
 
 
+def class_first_reference_softmax(logits):
+    # a row-major copy, so that the reference sums over a contiguous class axis
+    row_major = np.ascontiguousarray(np.moveaxis(logits, 0, -1))
+    return np.moveaxis(reference_softmax(row_major), -1, 0)
+
+
 def awkward_logits(shape, seed):
     """Random logits whose first rows have tied maxima or large magnitudes."""
     logits = np.random.default_rng(seed).standard_normal(shape)
@@ -243,9 +249,37 @@ class TestKernelReductions:
     @pytest.mark.parametrize("k", [2, 5, 8, 13])
     @pytest.mark.parametrize("n", [1, 7, 100])
     def test_softmax_bitwise_equals_reference(self, k, n):
+        # the kernel's softmax runs over the leading axis of class-first logits
         for shape in ((n, k), (3, n, k)):
-            logits = awkward_logits(shape, seed=k * n)
-            assert np.array_equal(_softmax(logits), reference_softmax(logits))
+            logits = np.moveaxis(awkward_logits(shape, seed=k * n), -1, 0).copy()
+            assert np.array_equal(_softmax(logits), class_first_reference_softmax(logits))
+
+    @pytest.mark.parametrize("k", [*range(1, 18), 64, 127, 128, 129, 300])
+    @pytest.mark.parametrize("lead", [(), (1,), (10, 100), (3, 7)])
+    def test_class_sum_bitwise_equals_pairwise_reduce(self, k, lead):
+        # np.add.reduce over a contiguous last axis is numpy's pairwise sum;
+        # terms spread over 20 orders of magnitude, so another order shows
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((*lead, k)) * 10.0 ** rng.integers(-10, 10, (*lead, k))
+        expected = np.add.reduce(x, axis=-1)
+        assert np.array_equal(_class_sum(np.moveaxis(x, -1, 0).copy()), expected)
+        assert np.array_equal(_class_sum(x.T), expected.T)
+
+    @pytest.mark.parametrize("hidden", [(), (5,)])
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_stacked_grads_on_shared_features_equal_rows(self, hidden, k):
+        # (T, ...)-stacked layers on one (n, d + 1) feature matrix: T parameter
+        # vectors' gradients in one call, each bitwise that of its own call
+        cfg = ModelConfig(4, hidden, k)
+        rng = np.random.default_rng(k)
+        T, n = 6, 9
+        stack = init_params(cfg, 1) + rng.standard_normal((T, param_count(cfg)))
+        features = _with_ones(rng.standard_normal((n, 4)))
+        targets = np.moveaxis(rng.dirichlet(np.ones(k), n), -1, 0)
+        stacked = _grads(_augmented(stack, cfg), features, targets[:, None])
+        for t in range(T):
+            for g, row in zip(stacked, _grads(_augmented(stack[t], cfg), features, targets)):
+                assert np.array_equal(g[t], row)
 
     @pytest.mark.parametrize("hidden", [(), (5,)])
     @pytest.mark.parametrize("k", [2, 5, 8, 13])
@@ -259,13 +293,15 @@ class TestKernelReductions:
                     (*lead, param_count(cfg)))
                 layers = _augmented(params, cfg)
                 features = _with_ones(rng.standard_normal((*lead, n, 4)))
-                targets = rng.dirichlet(np.ones(k), (*lead, n))
+                targets = np.moveaxis(rng.dirichlet(np.ones(k), (*lead, n)), -1, 0)
                 _, probs, deltas, _ = _backprop(layers, features, targets)
-                logits = _forward(layers, features)[1]
-                assert np.array_equal(probs, reference_softmax(logits))
+                logits = _forward(layers, features)[-1] @ layers[-1]
+                assert np.array_equal(probs, np.moveaxis(reference_softmax(logits), -1, 0))
                 for g, delta in zip(_grads(layers, features, targets), deltas):
                     assert g.shape[-1] == delta.shape[-1] and g.shape[:-2] == lead
-                    assert np.array_equal(g[..., -1, :], delta.sum(axis=-2))
+                    # a row-major copy: numpy sums a column-major view pairwise
+                    assert np.array_equal(g[..., -1, :],
+                                          np.ascontiguousarray(delta).sum(axis=-2))
 
 
 class TestSgd:
@@ -363,6 +399,34 @@ class TestBatchedTraining:
                         train_clients(p0, cfg, feats, labels, 0.1, epochs, perms, 3)):
             assert not np.array_equal(trained[0], kept)
             assert np.array_equal(p0, kept)
+
+    @pytest.mark.parametrize("n, batch_size, epochs",
+                             [(12, 12, 3), (23, 5, 3), (10, 4, 0),
+                              (12, None, 3), (12, None, 0)])
+    def test_bitwise_equals_backward_sgd_oracle(self, n, batch_size, epochs):
+        # one gather per epoch, sliced per step, against backward + sgd_step
+        # on each client's own minibatches; each epoch's remainder is dropped
+        cfg = ModelConfig(4, (3,), 6)
+        p0 = init_params(cfg, 2)
+        rng = np.random.default_rng(n)
+        C = 3
+        feats = rng.standard_normal((C, n, 4))
+        labels = rng.integers(0, 6, (C, n))
+        perms = None
+        if batch_size is not None:
+            perms = np.stack([epoch_permutations(n, epochs, np.random.default_rng(i))
+                              for i in range(C)])
+        batched = train_clients(p0, cfg, feats, labels, 0.1, epochs, perms, batch_size)
+        b = n if batch_size is None else batch_size
+        for i in range(C):
+            params = p0
+            for e in range(epochs):
+                perm = np.arange(n) if perms is None else perms[i, e]
+                for start in range(0, n - b + 1, b):
+                    idx = perm[start:start + b]
+                    mini = Dataset(feats[i][idx], labels[i][idx], 6)
+                    params = sgd_step(params, backward(params, cfg, mini), 0.1)
+            assert np.array_equal(batched[i], params)
 
     def test_minibatch_bitwise_equals_single(self):
         # the oracle: backward + sgd_step over the gathered minibatches, with
