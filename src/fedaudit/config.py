@@ -20,6 +20,8 @@ from .privacy import PrivacyConfig
 AGGREGATOR_KINDS = ("fedavg", "median", "trimmed_mean", "signsgd")
 DEFENSE_KINDS = ("pass", "rffl", "none")
 DATA_SOURCES = ("synthetic", "idx")
+# fair first, then the free-rider kinds
+CLIENT_KINDS = ("fair", "plain", "disguised", "anonymous", "selfish")
 
 
 class ConfigError(ValueError):
@@ -83,9 +85,10 @@ def _field_types(cls) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class DataConfig:
+    """Where the samples come from; synthetic data takes the model's shape
+    (model.input_dim features, model.num_classes classes)."""
+
     source: str = "synthetic"
-    num_classes: int = 4
-    input_dim: int = 12
     separation: float = 3.0
     samples_per_client: int = 25
     holdout_samples: int = 500
@@ -112,7 +115,7 @@ class RosterConfig:
 
     @property
     def total(self) -> int:
-        return self.fair + self.plain + self.disguised + self.anonymous + self.selfish
+        return sum(getattr(self, kind) for kind in CLIENT_KINDS)
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,7 @@ class ExperimentConfig:
                 problems.append("local_batch_size: cannot exceed data.samples_per_client")
         if self.roster.total < 1:
             problems.append("roster: at least one client required")
-        for kind in ("fair", "plain", "disguised", "anonymous", "selfish"):
+        for kind in CLIENT_KINDS:
             if getattr(self.roster, kind) < 0:
                 problems.append(f"roster.{kind}: must be >= 0")
         if self.roster.disguise_variance < 0:
@@ -203,21 +206,15 @@ class ExperimentConfig:
         if self.data.source not in DATA_SOURCES:
             problems.append(f"data.source: {self.data.source!r} not one of {DATA_SOURCES}")
         if self.data.source == "synthetic":
-            if self.data.num_classes != self.model.num_classes:
-                problems.append("data.num_classes: must match model.num_classes")
-            if self.data.input_dim != self.model.input_dim:
-                problems.append("data.input_dim: must match model.input_dim")
-            if self.data.num_classes < 2:
-                problems.append("data.num_classes: must be >= 2")
             if self.data.separation <= 0:
                 problems.append("data.separation: must be > 0")
             data_clients = self.roster.fair + self.roster.selfish
             if (data_clients * self.data.samples_per_client + self.data.holdout_samples
-                    < self.data.num_classes):
+                    < self.model.num_classes):
                 problems.append(
                     "data.samples_per_client/holdout_samples: the synthetic pool, "
                     "(roster.fair + roster.selfish) * samples_per_client + "
-                    "holdout_samples, must be >= num_classes")
+                    "holdout_samples, must be >= model.num_classes")
         else:
             if not self.data.images_path or not self.data.labels_path:
                 problems.append("data.images_path/labels_path: required for source 'idx'")

@@ -53,8 +53,6 @@ def standard_config(fair: int = 10, plain: int = 0, disguised: int = 0,
         model=ModelConfig(INPUT_DIM, (), NUM_CLASSES),
         data=DataConfig(
             source="synthetic",
-            num_classes=NUM_CLASSES,
-            input_dim=INPUT_DIM,
             separation=SEPARATION,
             samples_per_client=SAMPLES_PER_CLIENT,
             holdout_samples=HOLDOUT_SAMPLES,
@@ -82,8 +80,6 @@ def neutrality_config(*, seed: int = 0, rounds: int = 60, privacy_on: bool = Tru
         model=ModelConfig(8, (), 4),
         data=DataConfig(
             source="synthetic",
-            num_classes=4,
-            input_dim=8,
             separation=5.0,
             samples_per_client=100,
             holdout_samples=600,

@@ -21,7 +21,7 @@ import numpy as np
 from . import aggregation
 from .clients import (AnonymousFreeRider, Client, DisguisedFreeRider, FairClient,
                       PlainFreeRider, SelfishFreeRider)
-from .config import ConfigError, ExperimentConfig, _is_integer, check_types
+from .config import CLIENT_KINDS, ConfigError, ExperimentConfig, _is_integer, check_types
 from .data import (Dataset, IdxFormatError, PartitionSpec, generate_synthetic, load_idx,
                    partition)
 from .defense import (AuditMatrix, ContributionLedger, contribution_step,
@@ -157,7 +157,7 @@ class Simulation:
         pool_n = data_clients * cfg.data.samples_per_client
         if cfg.data.source == "synthetic":
             full = generate_synthetic(
-                cfg.data.num_classes, cfg.data.input_dim,
+                cfg.model.num_classes, cfg.model.input_dim,
                 pool_n + cfg.data.holdout_samples, cfg.data.separation,
                 _seed_int(data_seq))
         else:
@@ -359,15 +359,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 # -- parameter sweeps ------------------------------------------------------
 
-# each swept key takes a list of values of this type
-SWEEPABLE = {"beta": "tuple[float, ...]", "gamma": "tuple[float, ...]",
-             "noise_variance": "tuple[float, ...]", "fr_count": "tuple[int, ...]"}
+# each swept key: the type of its list of values, and the config section and
+# field each value sets (fr_count sets the roster's one free-rider kind)
+SWEEPABLE = {"beta": ("tuple[float, ...]", "defense", "beta"),
+             "gamma": ("tuple[float, ...]", "privacy", "prune_rate"),
+             "noise_variance": ("tuple[float, ...]", "privacy", "noise_variance"),
+             "fr_count": ("tuple[int, ...]", "roster", None)}
 
 
 def _with_fr_count(config: ExperimentConfig, count: int) -> ExperimentConfig:
     roster = config.roster
-    nonzero = [k for k in ("plain", "disguised", "anonymous", "selfish")
-               if getattr(roster, k) > 0]
+    nonzero = [k for k in CLIENT_KINDS[1:] if getattr(roster, k) > 0]
     if len(nonzero) != 1:
         raise ConfigError(
             "sweep.fr_count: roster must have exactly one free-rider kind to sweep")
@@ -382,21 +384,19 @@ def sweep_experiment(base: ExperimentConfig, sweep: dict) -> list[dict]:
         raise ConfigError(f"sweep: unknown keys {sorted(unknown)}")
     if not sweep:
         raise ConfigError("sweep: at least one swept parameter required")
-    check_types(SWEEPABLE, sweep, "sweep")
+    check_types({k: kind for k, (kind, _, _) in SWEEPABLE.items()}, sweep, "sweep")
     keys = [k for k in SWEEPABLE if k in sweep]
     plan = []  # every combination is built and validated before the first run
     for combo in itertools.product(*(sweep[k] for k in keys)):
         cfg = base
         named = dict(zip(keys, combo))
-        if "beta" in named:
-            cfg = replace(cfg, defense=replace(cfg.defense, beta=named["beta"]))
-        if "gamma" in named:
-            cfg = replace(cfg, privacy=replace(cfg.privacy, prune_rate=named["gamma"]))
-        if "noise_variance" in named:
-            cfg = replace(cfg, privacy=replace(cfg.privacy,
-                                               noise_variance=named["noise_variance"]))
-        if "fr_count" in named:
-            cfg = _with_fr_count(cfg, named["fr_count"])
+        for key, value in named.items():
+            _, section, name = SWEEPABLE[key]
+            if name is None:
+                cfg = _with_fr_count(cfg, value)
+            else:
+                cfg = replace(cfg, **{section: replace(getattr(cfg, section),
+                                                       **{name: value})})
         cfg.validate()
         plan.append((named, cfg))
     rows = []

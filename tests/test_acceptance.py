@@ -268,8 +268,8 @@ class TestCriterion9:
         config_path.write_text("""{
   "seed": 3, "rounds": 4, "eta": 0.1, "local_epochs": 3,
   "model": {"input_dim": 3, "hidden_dims": [], "num_classes": 3},
-  "data": {"source": "synthetic", "num_classes": 3, "input_dim": 3,
-           "separation": 2.0, "samples_per_client": 20, "holdout_samples": 50},
+  "data": {"source": "synthetic", "separation": 2.0, "samples_per_client": 20,
+           "holdout_samples": 50},
   "roster": {"fair": 4, "plain": 1},
   "defense": {"kind": "pass"},
   "privacy": {"noise_variance": 0.01, "prune_rate": 0.9}

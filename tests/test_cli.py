@@ -15,8 +15,8 @@ RUN_CONFIG = {
     "eta": 0.1,
     "local_epochs": 3,
     "model": {"input_dim": 3, "hidden_dims": [], "num_classes": 3},
-    "data": {"source": "synthetic", "num_classes": 3, "input_dim": 3,
-             "separation": 2.0, "samples_per_client": 20, "holdout_samples": 50},
+    "data": {"source": "synthetic", "separation": 2.0, "samples_per_client": 20,
+             "holdout_samples": 50},
     "roster": {"fair": 4, "plain": 1},
     "aggregator": {"kind": "fedavg"},
     "defense": {"kind": "pass", "beta": 1.75},
@@ -84,6 +84,14 @@ class TestRun:
         path = write_config(tmp_path, payload)
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert "data.samples_per_client/holdout_samples: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["num_classes", "input_dim"])
+    def test_data_dims_are_unknown_keys_exit_1(self, tmp_path, capsys, key):
+        # synthetic data takes the model's shape, so `data` has no dims
+        payload = {**RUN_CONFIG, "data": {**RUN_CONFIG["data"], key: 3}}
+        path = write_config(tmp_path, payload)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert f"data: unknown keys ['{key}']" in capsys.readouterr().err
 
     def test_model_section_without_input_dim_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, {**RUN_CONFIG, "model": {"num_classes": 3}})

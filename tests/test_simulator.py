@@ -1,7 +1,9 @@
 """Round orchestration: allocation, audits, elimination, aggregation, logging."""
 
+import copy
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from fedaudit.config import (AggregatorConfig, ConfigError, DataConfig,
                              DefenseSettings, ExperimentConfig, RosterConfig,
                              config_from_dict)
 from fedaudit.data import generate_synthetic, partition, PartitionSpec
-from fedaudit.defense import AuditMatrix, audit_peer_update
+from fedaudit.defense import AuditMatrix, audit_peer_update, contribution_step
 from fedaudit.model import ModelConfig, init_params, param_count
 from fedaudit.privacy import PrivacyConfig
 from fedaudit.reporting import rounds_csv_text
@@ -26,9 +28,8 @@ def tiny_config(**overrides):
     base = dict(
         seed=0, rounds=6, eta=0.1, local_epochs=3,
         model=ModelConfig(3, (), 3),
-        data=DataConfig(source="synthetic", num_classes=3, input_dim=3,
-                        separation=2.0, samples_per_client=20,
-                        holdout_samples=60),
+        data=DataConfig(source="synthetic", separation=2.0,
+                        samples_per_client=20, holdout_samples=60),
         roster=RosterConfig(fair=4, plain=1),
         aggregator=AggregatorConfig("fedavg"),
         defense=DefenseSettings(kind="pass"),
@@ -72,6 +73,24 @@ class TestRoundMechanics:
         for _ in range(cfg.rounds):
             oracle.run_round()
         assert np.array_equal(oracle.params, params)
+
+    def test_minibatch_fair_stack_equals_each_clients_compute_update(self):
+        # fair training has two paths: the simulator's stack and
+        # FairClient.compute_update; under minibatch SGD each stacked slice
+        # must equal the client's own update drawn from the same stream point
+        cfg = replace(standard_config(fair=4, plain=1, seed=4, rounds=2, local_epochs=3),
+                      local_batch_size=25)
+        sim = Simulation(cfg)
+        sim.run_round()
+        active = sim._active_clients()
+        fair = [c for c in active if c.kind == "fair"]
+        rngs = {c.id: copy.deepcopy(sim.client_rngs[c.id]) for c in fair}
+        updates = sim._compute_updates(1, active)
+        assert len(fair) == 4
+        for c in fair:
+            own = c.compute_update(1, sim.params, sim.alloc, cfg.model, cfg.eta,
+                                   cfg.local_epochs, rngs[c.id])
+            assert updates[c.id].tobytes() == own.tobytes()
 
     def test_plain_fr_eliminated_by_round_50(self):
         cfg = standard_config(fair=10, plain=5, seed=0, rounds=50)
@@ -217,10 +236,10 @@ class TestConfigValidation:
         assert config_from_dict({}) == ExperimentConfig()
         assert config_from_dict({"seed": 3}).privacy == PrivacyConfig(1e-2, 0.9)
 
-    def test_model_data_dims_must_match(self):
-        with pytest.raises(ConfigError, match="data.input_dim"):
-            config_from_dict({"model": {"input_dim": 4, "num_classes": 3},
-                              "data": {"input_dim": 5, "num_classes": 3}})
+    def test_synthetic_data_takes_the_models_shape(self):
+        sim = Simulation(tiny_config(model=ModelConfig(5, (), 4)))
+        for dataset in [sim.holdout] + [c.shard for c in sim.clients if c.kind == "fair"]:
+            assert (dataset.input_dim, dataset.num_classes) == (5, 4)
 
 
 class TestAggregatorPaths:
@@ -273,6 +292,23 @@ class TestSweep:
         rows = sweep_experiment(base, {"fr_count": [1, 3]})
         assert [row["fr_count"] for row in rows] == [1, 3]
 
+    def test_each_sweep_key_sets_its_own_field(self, monkeypatch):
+        ran = []
+
+        def fake_run(cfg):
+            ran.append(cfg)
+            return SimpleNamespace(dsr=None, fpr=None, final_accuracy=0.0,
+                                   total_comm_scalars=0, eliminated=())
+
+        monkeypatch.setattr("fedaudit.simulator.run_experiment", fake_run)
+        base = tiny_config(roster=RosterConfig(fair=4, anonymous=1))
+        sweep_experiment(base, {"beta": [1.5, 2.5], "gamma": [0.25],
+                                "noise_variance": [0.125], "fr_count": [3]})
+        privacy = replace(base.privacy, prune_rate=0.25, noise_variance=0.125)
+        assert ran == [replace(base, defense=replace(base.defense, beta=beta),
+                               privacy=privacy, roster=replace(base.roster, anonymous=3))
+                       for beta in (1.5, 2.5)]
+
     def test_unknown_sweep_key_rejected(self):
         with pytest.raises(ConfigError, match="sweep"):
             sweep_experiment(tiny_config(), {"epsilon": [1]})
@@ -320,6 +356,36 @@ class TestAuditMatrix:
         for auditor, row in matrix.entries.items():
             assert auditor not in row
             assert set(row) == {c.id for c in sim.clients} - {auditor}
+
+    def test_reports_summed_in_entries_order_first_auditor_last(self, monkeypatch):
+        # the matrix is filled target-major, so target 0's auditors enter
+        # `entries` first and auditor 0 last: every target's reports reach
+        # contribution_step in the order [1, 2, 3, 6, 0], not in auditor
+        # order. Summing in auditor order moves the minibatch golden.
+        cfg = standard_config(fair=4, plain=2, selfish=1, seed=1, rounds=3,
+                              local_epochs=5)
+        sim = Simulation(cfg)
+        sim.run_round()
+        sim.run_round()
+        uploads, theta_then, theta_before = sim._pending_audit
+        shards = {c.id: c.audit_dataset for c in sim.clients
+                  if c.audit_dataset is not None}
+        assert list(shards) == [0, 1, 2, 3, 6]
+        received = []
+        monkeypatch.setattr(
+            "fedaudit.simulator.contribution_step",
+            lambda c, reports, alpha: received.append(list(reports))
+            or contribution_step(c, reports, alpha))
+        sim.run_round()
+        assert list(sim.last_audit_matrix.entries) == [1, 2, 3, 6, 0]
+
+        def reports(order):
+            return [[audit_peer_update(shards[a], cfg.model, theta_then,
+                                       theta_before, uploads[target])
+                     for a in order if a != target] for target in uploads]
+
+        assert received == reports([1, 2, 3, 6, 0])
+        assert received != reports([0, 1, 2, 3, 6])  # the two orders differ here
 
     def test_stacked_audit_equals_per_pair_reports(self):
         # selfish riders hold public data, so they audit too; every report
