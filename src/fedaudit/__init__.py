@@ -5,7 +5,7 @@ gradient-leakage defenses on flat parameter vectors."""
 from .aggregation import (AggregationError, coordinate_median, fedavg,
                           signsgd_aggregate, trimmed_mean)
 from .clients import (AnonymousFreeRider, DisguisedFreeRider, FairClient,
-                      PlainFreeRider, SelfishFreeRider, fair_update)
+                      PlainFreeRider, SelfishFreeRider)
 from .config import (AggregatorConfig, ConfigError, DataConfig, DefenseSettings,
                      ExperimentConfig, RosterConfig, config_from_dict, load_config)
 from .data import (BadMagicError, CountMismatchError, Dataset, IdxFormatError,

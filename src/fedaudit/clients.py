@@ -12,40 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .model import (AdamState, ModelConfig, adam_step, epoch_permutations,
-                    train_clients)
+from .model import AdamState, ModelConfig, adam_step, train_clients
 
 FR_ADAM_LR = 0.015
 FR_ADAM_DECAY = 0.997
-
-
-def fair_update(global_params: np.ndarray, config: ModelConfig, shard: Dataset,
-                eta: float, local_epochs: int, batch_size: int | None = None,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-    """Train locally for `local_epochs` epochs and return the delta.
-
-    An epoch is one full-batch GD step by default; with batch_size set it is
-    a simple-shuffle pass of minibatch SGD steps (shuffles drawn from rng).
-    """
-    if len(shard) == 0:
-        raise ValueError("fair client needs a non-empty shard")
-    perms = None
-    if batch_size is not None:
-        if rng is None:
-            raise ValueError("minibatch training needs an rng for the shuffles")
-        perms = epoch_permutations(len(shard), local_epochs, rng)[None]
-    trained = train_clients(global_params, config, shard.features[None],
-                            shard.labels[None], eta, local_epochs, perms, batch_size)
-    return trained[0] - global_params
 
 
 class Client:
     """Base participant: an id and an optional audit dataset. Whether it is
     still in the federation is the ledger's record (defense.ContributionLedger).
 
-    Each behaviour class defines its own compute_update rather than
-    inheriting one, so wrapping one class's method (to trace it, say) affects
-    that class alone."""
+    Each free-rider class defines its own compute_update, so wrapping one
+    class's method (to trace it, say) affects that class alone. FairClient
+    inherits this abstract one: the simulator trains fair clients as one stack."""
 
     kind = "fair"
     declared_samples = 1  # nominal FedAvg weight; free riders forge the fair count
@@ -58,30 +37,24 @@ class Client:
         """Data this client can honestly audit peers with (None = cannot audit)."""
         return None
 
-    def compute_update(self, round_index: int, global_params: np.ndarray,
+    def compute_update(self, global_params: np.ndarray,
                        prev_global_update: np.ndarray | None, config: ModelConfig,
-                       eta: float, local_epochs: int,
-                       rng: np.random.Generator) -> np.ndarray:
+                       eta: float, rng: np.random.Generator) -> np.ndarray:
+        """This round's upload; prev_global_update is None exactly on round 0."""
         raise NotImplementedError
 
 
 class FairClient(Client):
     kind = "fair"
 
-    def __init__(self, client_id: int, shard: Dataset, batch_size: int | None = None):
+    def __init__(self, client_id: int, shard: Dataset):
         super().__init__(client_id)
         self.shard = shard
-        self.batch_size = batch_size
         self.declared_samples = len(shard)
 
     @property
     def audit_dataset(self) -> Dataset | None:
         return self.shard
-
-    def compute_update(self, round_index, global_params, prev_global_update,
-                       config, eta, local_epochs, rng):
-        return fair_update(global_params, config, self.shard, eta, local_epochs,
-                           self.batch_size, rng)
 
 
 class PlainFreeRider(Client):
@@ -91,8 +64,7 @@ class PlainFreeRider(Client):
         super().__init__(client_id)
         self.declared_samples = declared_samples
 
-    def compute_update(self, round_index, global_params, prev_global_update,
-                       config, eta, local_epochs, rng):
+    def compute_update(self, global_params, prev_global_update, config, eta, rng):
         """Echo the allocated global update; zero vector before one exists."""
         if prev_global_update is None:
             return np.zeros(global_params.shape[0])
@@ -110,8 +82,7 @@ class DisguisedFreeRider(Client):
         self.noise_variance = noise_variance
         self.declared_samples = declared_samples
 
-    def compute_update(self, round_index, global_params, prev_global_update,
-                       config, eta, local_epochs, rng):
+    def compute_update(self, global_params, prev_global_update, config, eta, rng):
         """The plain echo plus i.i.d. Gaussian noise of the given variance."""
         dim = global_params.shape[0]
         echo = np.zeros(dim) if prev_global_update is None else prev_global_update.copy()
@@ -153,8 +124,7 @@ class AnonymousFreeRider(_AdamEchoRider):
         super().__init__(client_id, adam_lr, adam_decay, declared_samples)
         self.init_noise_variance = init_noise_variance
 
-    def compute_update(self, round_index, global_params, prev_global_update,
-                       config, eta, local_epochs, rng):
+    def compute_update(self, global_params, prev_global_update, config, eta, rng):
         if prev_global_update is None:
             return rng.normal(0.0, np.sqrt(self.init_noise_variance),
                               global_params.shape[0])
@@ -182,10 +152,10 @@ class SelfishFreeRider(_AdamEchoRider):
     def audit_dataset(self) -> Dataset | None:
         return self.public_data
 
-    def compute_update(self, round_index, global_params, prev_global_update,
-                       config, eta, local_epochs, rng):
-        if round_index == 0 or prev_global_update is None:
-            return fair_update(global_params, config, self.public_data, eta,
-                               self.pretrain_epochs)
+    def compute_update(self, global_params, prev_global_update, config, eta, rng):
+        if prev_global_update is None:
+            trained = train_clients(global_params, config, self.public_data.features[None],
+                                    self.public_data.labels[None], eta, self.pretrain_epochs)
+            return trained[0] - global_params
         return self._adam_echo(prev_global_update)
 

@@ -100,11 +100,9 @@ class Simulation:
         shards, public_shards, holdout = self._build_data(data_seq, part_seq, split_seq)
         self.holdout = holdout
 
-        self.clients: list[Client] = []
-        cid = 0
-        for i in range(roster.fair):
-            self.clients.append(FairClient(cid, shards[i], config.local_batch_size))
-            cid += 1
+        self.clients: list[Client] = [FairClient(cid, shard)
+                                      for cid, shard in enumerate(shards)]
+        cid = len(self.clients)
         forged = config.data.samples_per_client
         for _ in range(roster.plain):
             self.clients.append(PlainFreeRider(cid, declared_samples=forged))
@@ -252,7 +250,7 @@ class Simulation:
         pseudo = [-v / self.config.eta for v in vectors]
         return aggregation.signsgd_aggregate(pseudo, self.config.eta)
 
-    def _compute_updates(self, t: int, active: list[Client]) -> dict[int, np.ndarray]:
+    def _compute_updates(self, active: list[Client]) -> dict[int, np.ndarray]:
         """Per-client raw updates; the active fair clients train as one stack
         (model.train_clients), every other client through its compute_update."""
         cfg = self.config
@@ -276,9 +274,8 @@ class Simulation:
                 updates[c.id] = trained[i] - self.params
         for c in active:
             if c.kind != "fair":
-                updates[c.id] = c.compute_update(t, self.params, self.alloc, cfg.model,
-                                                 cfg.eta, cfg.local_epochs,
-                                                 self.client_rngs[c.id])
+                updates[c.id] = c.compute_update(self.params, self.alloc, cfg.model,
+                                                 cfg.eta, self.client_rngs[c.id])
         return {c.id: updates[c.id] for c in active}
 
     def run_round(self) -> RoundLog:
@@ -294,7 +291,7 @@ class Simulation:
             raise AllClientsEliminated("no active clients remain")
 
         uploads: dict[int, np.ndarray] = {}
-        raw_updates = self._compute_updates(t, active)
+        raw_updates = self._compute_updates(active)
         for c in active:
             uploads[c.id] = apply_privacy(raw_updates[c.id], cfg.privacy,
                                           self.privacy_rngs[c.id])
@@ -386,6 +383,9 @@ def sweep_experiment(base: ExperimentConfig, sweep: dict) -> list[dict]:
         raise ConfigError("sweep: at least one swept parameter required")
     check_types({k: kind for k, (kind, _, _) in SWEEPABLE.items()}, sweep, "sweep")
     keys = [k for k in SWEEPABLE if k in sweep]
+    for key in keys:
+        if not sweep[key]:
+            raise ConfigError(f"sweep.{key}: must be a list of at least one value")
     plan = []  # every combination is built and validated before the first run
     for combo in itertools.product(*(sweep[k] for k in keys)):
         cfg = base
@@ -438,6 +438,10 @@ class DLGExperimentConfig:
             raise ValueError("batch_samples: must be >= 1")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError("seed: must be an integer >= 0")
+        for name in ("noise_variances", "prune_rates"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{name}: must be a non-empty list of distinct values")
         if any(nv < 0 for nv in self.noise_variances):
             raise ValueError("noise_variances: every value must be >= 0")
         if not all(0 <= pr < 1 for pr in self.prune_rates):

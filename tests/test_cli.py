@@ -177,7 +177,8 @@ class TestSweep:
     @pytest.mark.parametrize("sweep, key", [({"beta": ["x"]}, "beta"),
                                             ({"beta": 2}, "beta"),
                                             ({"fr_count": [1.5]}, "fr_count"),
-                                            ({"beta": [float("nan")]}, "beta")])
+                                            ({"beta": [float("nan")]}, "beta"),
+                                            ({"beta": []}, "beta")])
     def test_bad_sweep_values_exit_1(self, tmp_path, capsys, sweep, key):
         path = write_config(tmp_path, {**RUN_CONFIG, "rounds": 2, "sweep": sweep})
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 1
@@ -246,6 +247,11 @@ class TestDlg:
         ({"noise_variances": [-1.0]}, "noise_variances"),
         ({"prune_rates": [1.5]}, "prune_rates"),
         ({"prune_rates": [-0.5]}, "prune_rates"),
+        ({"noise_variances": [0.0, 0.0], "prune_rates": [0.0], "instances": 2,
+          "iterations": 5}, "noise_variances"),
+        ({"prune_rates": [0.9, 0.0, 0.9]}, "prune_rates"),
+        ({"noise_variances": []}, "noise_variances"),
+        ({"prune_rates": []}, "prune_rates"),
     ])
     def test_dlg_out_of_range_exits_1(self, tmp_path, capsys, section, key):
         path = write_config(tmp_path, {**RUN_CONFIG, "dlg": section})

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from fedaudit.clients import (AnonymousFreeRider, DisguisedFreeRider, FairClient,
-                              PlainFreeRider, SelfishFreeRider, fair_update)
+from fedaudit.clients import (AnonymousFreeRider, Client, DisguisedFreeRider,
+                              FairClient, PlainFreeRider, SelfishFreeRider)
 from fedaudit.data import Dataset, generate_synthetic
-from fedaudit.model import ModelConfig, backward, init_params
+from fedaudit.model import (AdamState, ModelConfig, adam_step, backward, init_params,
+                            train_clients)
 from fedaudit.scenarios import standard_config
 from fedaudit.simulator import Simulation
 
@@ -19,45 +20,33 @@ def world():
     return cfg, shard, params
 
 
-def rider_update(rider, prev, dim, seed=0, round_index=1):
+def rider_update(rider, prev, dim, seed=0):
     """A dataless rider's upload; it reads neither the model config nor the
     global parameters' values, only their length."""
-    return rider.compute_update(round_index, np.zeros(dim), prev, None, 0.1, 1,
+    return rider.compute_update(np.zeros(dim), prev, None, 0.1,
                                 np.random.default_rng(seed))
 
 
 def test_each_behaviour_defines_its_own_compute_update():
     # wrapping one class's compute_update must not reach another class
-    for cls in (FairClient, PlainFreeRider, DisguisedFreeRider, AnonymousFreeRider,
+    for cls in (PlainFreeRider, DisguisedFreeRider, AnonymousFreeRider,
                 SelfishFreeRider):
         assert "compute_update" in vars(cls), cls.__name__
+    # fair clients train only in the simulator's stack; identity rather than
+    # vars(), since restoring a wrapped method sets the inherited one on the class
+    assert FairClient.compute_update is Client.compute_update
 
 
 class TestFairUpdate:
-    def test_zero_epochs_zero_update(self, world):
-        cfg, shard, params = world
-        assert np.array_equal(fair_update(params, cfg, shard, 0.1, 0),
-                              np.zeros_like(params))
-
-    def test_single_epoch_closed_form(self, world):
-        cfg, shard, params = world
-        update = fair_update(params, cfg, shard, 0.1, 1)
-        assert np.allclose(update, -0.1 * backward(params, cfg, shard), atol=1e-15)
-
-    def test_identical_shards_identical_updates(self, world):
-        cfg, shard, params = world
-        a = FairClient(0, shard)
-        b = FairClient(1, shard)
-        rng = np.random.default_rng(0)
-        ua = a.compute_update(0, params, None, cfg, 0.1, 5, rng)
-        ub = b.compute_update(0, params, None, cfg, 0.1, 5, rng)
-        assert np.array_equal(ua, ub)
-
-    def test_empty_shard_rejected(self, world):
-        cfg, _, params = world
-        empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 3)
-        with pytest.raises(ValueError):
-            fair_update(params, cfg, empty, 0.1, 1)
+    def test_identical_shards_identical_updates(self):
+        # through the simulator's fair stack, the one place fair clients train
+        cfg = standard_config(fair=3, seed=0, rounds=1, privacy_on=False,
+                              defense="none", local_epochs=5)
+        sim = Simulation(cfg)
+        sim.clients[1].shard = sim.clients[0].shard
+        updates = sim._compute_updates(sim._active_clients())
+        assert np.array_equal(updates[0], updates[1])
+        assert not np.array_equal(updates[0], updates[2])
 
 
 class TestPlainFreeRider:
@@ -69,7 +58,7 @@ class TestPlainFreeRider:
         assert np.linalg.norm(out) == np.linalg.norm(prev)
 
     def test_round_zero_zero_vector(self):
-        out = rider_update(PlainFreeRider(0), None, 4, round_index=0)
+        out = rider_update(PlainFreeRider(0), None, 4)
         assert np.array_equal(out, np.zeros(4))
 
     def test_cosine_with_source_is_one(self):
@@ -106,7 +95,7 @@ class TestAnonymousFreeRider:
         cfg_small, shard, _ = world
         cfg = ModelConfig(40, (45,), 5)  # big d for a stable correlation estimate
         afr = AnonymousFreeRider(0)
-        out = afr.compute_update(0, np.zeros(2075), None, cfg, 0.1, 1,
+        out = afr.compute_update(np.zeros(2075), None, cfg, 0.1,
                                  np.random.default_rng(3))
         data = generate_synthetic(5, 40, 60, 2.0, 4)
         grad = backward(init_params(cfg, 7), cfg, data)
@@ -118,8 +107,7 @@ class TestAnonymousFreeRider:
         cfg = ModelConfig(2, (), 2)
         prev = np.array([0.2, -0.1, 0.05, 0.0, 0.3, -0.2])
         for expected_steps in (1, 2, 3):
-            afr.compute_update(expected_steps, np.zeros(6), prev, cfg, 0.1, 1,
-                               np.random.default_rng(0))
+            afr.compute_update(np.zeros(6), prev, cfg, 0.1, np.random.default_rng(0))
             assert afr.adam_state.step_count == expected_steps
 
     def test_zero_echo_is_adam_fixed_point(self):
@@ -130,19 +118,26 @@ class TestAnonymousFreeRider:
 
 
 class TestSelfishFreeRider:
-    def test_round_zero_equals_fair_update_on_public_data(self, world):
+    def test_pretrains_exactly_when_no_update_was_allocated(self, world):
         cfg, shard, params = world
+        pretrained = train_clients(params, cfg, shard.features[None],
+                                   shard.labels[None], 0.1, 5)[0] - params
         sfr = SelfishFreeRider(0, shard, pretrain_epochs=5)
-        out = sfr.compute_update(0, params, None, cfg, 0.1, 99,
-                                 np.random.default_rng(0))
-        assert np.array_equal(out, fair_update(params, cfg, shard, 0.1, 5))
+        out = sfr.compute_update(params, None, cfg, 0.1, np.random.default_rng(0))
+        assert out.tobytes() == pretrained.tobytes()
+        assert sfr.adam_state is None
+        # once an update is allocated it echoes, even with the round-0 params
+        prev = np.full(params.shape[0], 0.1)
+        echo = sfr.compute_update(params, prev, cfg, 0.1, np.random.default_rng(0))
+        expected, _ = adam_step(AdamState.fresh(params.shape[0], 0.015, 0.997),
+                                prev, prev)
+        assert echo.tobytes() == expected.tobytes()
 
     def test_default_adam_hyperparameters(self, world):
         cfg, shard, _ = world
         sfr = SelfishFreeRider(0, shard)
         prev = np.full(15, 0.1)
-        sfr.compute_update(1, np.zeros(15), prev, cfg, 0.1, 1,
-                           np.random.default_rng(0))
+        sfr.compute_update(np.zeros(15), prev, cfg, 0.1, np.random.default_rng(0))
         assert sfr.adam_state.learning_rate == pytest.approx(0.015 * 0.997)
         assert sfr.adam_state.decay == 0.997
 
@@ -163,7 +158,7 @@ class TestSelfishFreeRider:
             sim.run_round()
             alloc = sim.alloc.copy()
             active = sim._active_clients()
-            updates = sim._compute_updates(1, active)
+            updates = sim._compute_updates(active)
 
             def cos(u):
                 return float(u @ alloc / (np.linalg.norm(u) * np.linalg.norm(alloc)))
@@ -195,12 +190,11 @@ class TestDataAccessIsolation:
         prev = np.full(8, 0.1)
         rng = np.random.default_rng(0)
         # the dataless variants never accept or touch a shard
-        PlainFreeRider(1).compute_update(1, np.zeros(8), prev, cfg, 0.1, 3, rng)
-        DisguisedFreeRider(2).compute_update(1, np.zeros(8), prev, cfg, 0.1, 3, rng)
-        AnonymousFreeRider(3).compute_update(1, np.zeros(8), prev, cfg, 0.1, 3, rng)
+        PlainFreeRider(1).compute_update(np.zeros(8), prev, cfg, 0.1, rng)
+        DisguisedFreeRider(2).compute_update(np.zeros(8), prev, cfg, 0.1, rng)
+        AnonymousFreeRider(3).compute_update(np.zeros(8), prev, cfg, 0.1, rng)
         assert reads["count"] == 0
-        SelfishFreeRider(4, counting).compute_update(0, np.zeros(8), None, cfg,
-                                                     0.1, 3, rng)
+        SelfishFreeRider(4, counting).compute_update(np.zeros(8), None, cfg, 0.1, rng)
         assert reads["count"] > 0
 
     def test_eliminated_clients_upload_nothing(self):
@@ -211,6 +205,6 @@ class TestDataAccessIsolation:
         sim.ledger.eliminated.add(0)
         active = sim._active_clients()
         assert 0 not in {c.id for c in active}
-        updates = sim._compute_updates(1, active)
+        updates = sim._compute_updates(active)
         assert 0 not in updates
         assert set(updates) == {c.id for c in active}

@@ -5,11 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from fedaudit.clients import fair_update
 from fedaudit.data import (BadMagicError, CountMismatchError, Dataset,
                            PartitionSpec, TruncatedFileError, generate_synthetic,
                            load_idx, partition)
-from fedaudit.model import ModelConfig, accuracy, init_params
+from fedaudit.model import ModelConfig, accuracy, init_params, train_clients
 
 
 def write_idx_images(path, images):
@@ -49,7 +48,7 @@ class TestSynthetic:
         ds = generate_synthetic(2, 2, 200, 10.0, 1)
         cfg = ModelConfig(2, (), 2)
         params = init_params(cfg, 0)
-        params = params + fair_update(params, cfg, ds, 0.1, 100)
+        params = train_clients(params, cfg, ds.features[None], ds.labels[None], 0.1, 100)[0]
         assert accuracy(params, cfg, ds) >= 0.99
 
     def test_invalid_counts_rejected(self):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from fedaudit.clients import fair_update
 from fedaudit.data import Dataset, generate_synthetic
 from fedaudit.model import (AdamState, ModelConfig, _augmented, _backprop, _class_sum,
                             _forward, _grads, _softmax, _with_ones, accuracy, adam_step,
@@ -318,15 +317,18 @@ class TestSgd:
         data = generate_synthetic(2, 2, 40, 10.0, 0)
         params = init_params(cfg, 0)
         loss0, _ = forward_loss(params, cfg, data)
-        params = params + fair_update(params, cfg, data, 0.1, 50)
+        params = train_clients(params, cfg, data.features[None], data.labels[None],
+                               0.1, 50)[0]
         loss50, _ = forward_loss(params, cfg, data)
         assert loss50 < loss0
 
     def test_training_deterministic(self):
         cfg = ModelConfig(3, (4,), 2)
         data = generate_synthetic(2, 3, 30, 2.0, 1)
-        a = fair_update(init_params(cfg, 5), cfg, data, 0.1, 20)
-        b = fair_update(init_params(cfg, 5), cfg, data, 0.1, 20)
+        a = train_clients(init_params(cfg, 5), cfg, data.features[None],
+                          data.labels[None], 0.1, 20)
+        b = train_clients(init_params(cfg, 5), cfg, data.features[None],
+                          data.labels[None], 0.1, 20)
         assert np.array_equal(a, b)
 
 

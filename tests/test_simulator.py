@@ -9,19 +9,27 @@ import numpy as np
 import pytest
 
 from fedaudit.aggregation import fedavg
-from fedaudit.clients import fair_update
 from fedaudit.config import (AggregatorConfig, ConfigError, DataConfig,
                              DefenseSettings, ExperimentConfig, RosterConfig,
                              config_from_dict)
 from fedaudit.data import generate_synthetic, partition, PartitionSpec
 from fedaudit.defense import AuditMatrix, audit_peer_update, contribution_step
-from fedaudit.model import ModelConfig, init_params, param_count
+from fedaudit.model import (ModelConfig, epoch_permutations, init_params, param_count,
+                            train_clients)
 from fedaudit.privacy import PrivacyConfig
 from fedaudit.reporting import rounds_csv_text
 from fedaudit.scenarios import standard_config
 from fedaudit.simulator import (DLGExperimentConfig, Simulation, comm_cost,
                                 run_dlg_experiment, run_experiment,
                                 sweep_experiment)
+
+
+def single_client_update(params, cfg, shard, perms=None):
+    """The oracle for one slice of the fair stack: the shard trained alone
+    (C = 1), with the epoch shuffles in perms under minibatch SGD."""
+    trained = train_clients(params, cfg.model, shard.features[None], shard.labels[None],
+                            cfg.eta, cfg.local_epochs, perms, cfg.local_batch_size)
+    return trained[0] - params
 
 
 def tiny_config(**overrides):
@@ -66,8 +74,7 @@ class TestRoundMechanics:
         shards = [c.shard for c in sim.clients]
         weights = [float(len(s)) for s in shards]
         for _ in range(cfg.rounds):
-            updates = [fair_update(params, cfg.model, s, cfg.eta, cfg.local_epochs)
-                       for s in shards]
+            updates = [single_client_update(params, cfg, s) for s in shards]
             params = params + fedavg(updates, weights)
         oracle = Simulation(cfg)
         for _ in range(cfg.rounds):
@@ -75,9 +82,8 @@ class TestRoundMechanics:
         assert np.array_equal(oracle.params, params)
 
     def test_minibatch_fair_stack_equals_each_clients_compute_update(self):
-        # fair training has two paths: the simulator's stack and
-        # FairClient.compute_update; under minibatch SGD each stacked slice
-        # must equal the client's own update drawn from the same stream point
+        # under minibatch SGD each slice of the simulator's fair stack must
+        # equal the client trained alone on shuffles from the same stream point
         cfg = replace(standard_config(fair=4, plain=1, seed=4, rounds=2, local_epochs=3),
                       local_batch_size=25)
         sim = Simulation(cfg)
@@ -85,11 +91,11 @@ class TestRoundMechanics:
         active = sim._active_clients()
         fair = [c for c in active if c.kind == "fair"]
         rngs = {c.id: copy.deepcopy(sim.client_rngs[c.id]) for c in fair}
-        updates = sim._compute_updates(1, active)
+        updates = sim._compute_updates(active)
         assert len(fair) == 4
         for c in fair:
-            own = c.compute_update(1, sim.params, sim.alloc, cfg.model, cfg.eta,
-                                   cfg.local_epochs, rngs[c.id])
+            perms = epoch_permutations(len(c.shard), cfg.local_epochs, rngs[c.id])
+            own = single_client_update(sim.params, cfg, c.shard, perms[None])
             assert updates[c.id].tobytes() == own.tobytes()
 
     def test_plain_fr_eliminated_by_round_50(self):
