@@ -177,6 +177,53 @@ class TestForward:
             forward_loss(init_params(cfg, 0), cfg, batch)
 
 
+def argmax_reference_accuracy(params, config, dataset):
+    """Fraction of samples whose row-major logits argmax to the label."""
+    layers = _augmented(params, config)
+    logits = _forward(layers, _with_ones(dataset.features))[-1] @ layers[-1]
+    return float((np.argmax(logits, axis=-1) == dataset.labels).mean())
+
+
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+@pytest.mark.parametrize("k", [2, 3, 8, 13])
+def test_accuracy_bitwise_equals_argmax_reference(k, hidden):
+    # argmax picks the first maximum and treats NaN as the maximum; ties
+    # come from all-zero parameters and from integer-rounded parameters and
+    # features (exact products), NaN and +-inf logits from a NaN sample and
+    # from infinite weights and biases
+    cfg = ModelConfig(4, hidden, k)
+    d = param_count(cfg)
+    rng = np.random.default_rng(k * 10 + len(hidden))
+    n = 3 * k + 5
+    labels = np.arange(n) % k  # every class, the last one included
+    labels[-3:] = k - 1
+    features = rng.standard_normal((n, 4))
+    rounded = np.round(2.0 * features)
+    rounded[0] = 0.0
+    nan_sample = rounded.copy()
+    nan_sample[1] = np.nan
+    stack = init_params(cfg, k) + rng.standard_normal((7, d))
+    stack[1] = 0.0  # every logit ties for every sample
+    stack[2] = np.round(stack[2])
+    stack[3] = np.round(3.0 * stack[3]) % 2  # 0/1 parameters, many partial ties
+    stack[4, -k:] = 0.0
+    stack[4, -1] = np.inf  # the last class wins everywhere
+    stack[5, -k] = -np.inf
+    stack[5, -k + 1] = np.inf
+    stack[6, 0] = np.inf  # inf * 0 = NaN on the zero feature row
+    for x in (features, rounded, nan_sample):
+        dataset = Dataset(x, labels, k)
+        with np.errstate(invalid="ignore"):
+            expected = [argmax_reference_accuracy(row, cfg, dataset) for row in stack]
+            assert accuracy(stack, cfg, dataset).tolist() == expected
+            for row, value in zip(stack, expected):
+                got = accuracy(row, cfg, dataset)
+                assert isinstance(got, float) and got == value
+            for rows in (stack[:1], stack[1:2], stack[4:6]):
+                assert accuracy(rows, cfg, dataset).tolist() == [
+                    argmax_reference_accuracy(row, cfg, dataset) for row in rows]
+
+
 class TestBackward:
     def test_finite_difference_small_model(self):
         cfg = ModelConfig(3, (2,), 3)  # 3*2+2 + 2*3+3 = 17 params
