@@ -189,8 +189,8 @@ def argmax_reference_accuracy(params, config, dataset):
 def test_accuracy_bitwise_equals_argmax_reference(k, hidden):
     # argmax picks the first maximum and treats NaN as the maximum; ties
     # come from all-zero parameters and from integer-rounded parameters and
-    # features (exact products), NaN and +-inf logits from a NaN sample and
-    # from infinite weights and biases
+    # features (exact products), NaN and +-inf logits from a NaN sample,
+    # infinite weights and biases and a NaN bias
     cfg = ModelConfig(4, hidden, k)
     d = param_count(cfg)
     rng = np.random.default_rng(k * 10 + len(hidden))
@@ -202,7 +202,7 @@ def test_accuracy_bitwise_equals_argmax_reference(k, hidden):
     rounded[0] = 0.0
     nan_sample = rounded.copy()
     nan_sample[1] = np.nan
-    stack = init_params(cfg, k) + rng.standard_normal((7, d))
+    stack = init_params(cfg, k) + rng.standard_normal((8, d))
     stack[1] = 0.0  # every logit ties for every sample
     stack[2] = np.round(stack[2])
     stack[3] = np.round(3.0 * stack[3]) % 2  # 0/1 parameters, many partial ties
@@ -211,6 +211,7 @@ def test_accuracy_bitwise_equals_argmax_reference(k, hidden):
     stack[5, -k] = -np.inf
     stack[5, -k + 1] = np.inf
     stack[6, 0] = np.inf  # inf * 0 = NaN on the zero feature row
+    stack[7, -1] = np.nan  # a NaN in the last class only: argmax picks it
     for x in (features, rounded, nan_sample):
         dataset = Dataset(x, labels, k)
         with np.errstate(invalid="ignore"):
@@ -219,7 +220,7 @@ def test_accuracy_bitwise_equals_argmax_reference(k, hidden):
             for row, value in zip(stack, expected):
                 got = accuracy(row, cfg, dataset)
                 assert isinstance(got, float) and got == value
-            for rows in (stack[:1], stack[1:2], stack[4:6]):
+            for rows in (stack[:1], stack[1:2], stack[4:6], stack[7:]):
                 assert accuracy(rows, cfg, dataset).tolist() == [
                     argmax_reference_accuracy(row, cfg, dataset) for row in rows]
 
