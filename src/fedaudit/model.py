@@ -164,6 +164,20 @@ def _class_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _class_first_logits(h: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Output-layer logits of [h, 1] layer input h, written as wb^T h^T into
+    a class-first (k, *lead, n) array. Each stacked (k, n) product goes into
+    the class rows of a (k, C, n) buffer; one unstacked product is that
+    buffer already, and skipping the allocation shows on the leakage
+    attack's single-sample steps."""
+    lead = _lead(h, wb)
+    if not lead:
+        return wb.mT @ h.mT
+    logits = np.empty((wb.shape[-1], *lead, h.shape[-2]))
+    np.matmul(wb.mT, h.mT, out=logits.swapaxes(0, -2))
+    return logits
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the leading (class) axis of class-first (k, ...) logits.
     Every max, exp, sum and divide runs over whole class rows rather than
@@ -184,23 +198,14 @@ def _backprop(layers, features: np.ndarray, targets: np.ndarray):
     Same rank rules as _forward; lead is the stack shape, at most one axis,
     and (k, 1, n) targets serve every row of a (T, ...) stack on one dataset.
 
-    The output layer is class-first: its logits are written as wb^T h^T into
-    a (k, *lead, n) buffer, where the softmax and the output delta
+    The output layer is class-first: its logits (_class_first_logits) are a
+    (k, *lead, n) buffer, where the softmax and the output delta
     (probs - targets) / n are formed. That delta reaches the gradient
     product as a column-major (*lead, n, k) view; hidden deltas are
     row-major."""
     hidden = _forward(layers, features)
-    h, wb = hidden[-1], layers[-1]
-    n = h.shape[-2]
-    lead = _lead(h, wb)
-    if lead:
-        # each stacked (k, n) product goes into the class rows of a (k, C, n)
-        # buffer; one unstacked product is that buffer already, and skipping
-        # the allocation shows on the leakage attack's single-sample steps
-        logits = np.empty((wb.shape[-1], *lead, n))
-        np.matmul(wb.mT, h.mT, out=logits.swapaxes(0, -2))
-    else:
-        logits = wb.mT @ h.mT
+    logits = _class_first_logits(hidden[-1], layers[-1])
+    n = logits.shape[-1]
     probs = _softmax(logits)
     np.subtract(probs, targets, out=logits)
     logits /= n
@@ -249,15 +254,49 @@ def forward_loss(params: np.ndarray, config: ModelConfig,
     return loss, acc
 
 
+def _first_max_hits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Whether argmax over the class axis of class-first (k, *lead, n)
+    logits equals labels, (*lead, n), without forming the index: a scan
+    over the class rows keeps the running maximum and whether the class
+    holding it is the label. Only a strictly greater logit takes over, so
+    the first maximum wins ties, as in argmax. A NaN logit leaves a NaN
+    running maximum, and then argmax decides, which ranks NaN highest. The
+    scan uses boolean operations only: a masked copy or np.where costs
+    several times more per class row."""
+    is_label = labels == np.arange(len(logits))[:, None]
+    best = logits[0].copy()
+    hit = np.broadcast_to(is_label[0], best.shape).copy()
+    gt = np.empty_like(hit)
+    flip = np.empty_like(hit)
+    for c in range(1, len(logits)):
+        np.greater(logits[c], best, out=gt)
+        np.maximum(best, logits[c], out=best)
+        # hit becomes is_label[c] where gt holds, and stays elsewhere
+        np.not_equal(hit, is_label[c], out=flip)
+        flip &= gt
+        hit ^= flip
+    if np.isnan(best).any():
+        return logits.argmax(axis=0) == labels
+    return hit
+
+
 def accuracy(params: np.ndarray, config: ModelConfig,
              dataset: Dataset) -> float | np.ndarray:
     """Fraction of argmax-correct predictions on the dataset. A (T, d) stack
     of parameter vectors gives the (T,) array of each row's accuracy, equal
-    bitwise to scoring the rows one at a time."""
+    bitwise to scoring the rows one at a time.
+
+    A stack is scored on class-first logits by _first_max_hits. A single
+    vector keeps a row-major argmax: on one vector's n rows it costs less
+    than the scan's five numpy calls per class."""
     _check_batch(config, dataset)
     layers = _augmented(params, config)
-    logits = _forward(layers, _with_ones(dataset.features))[-1] @ layers[-1]
-    hits = (logits.argmax(axis=-1) == dataset.labels).mean(axis=-1)
+    h = _forward(layers, _with_ones(dataset.features))[-1]
+    if params.ndim == 1:
+        hit = (h @ layers[-1]).argmax(axis=-1) == dataset.labels
+    else:
+        hit = _first_max_hits(_class_first_logits(h, layers[-1]), dataset.labels)
+    hits = np.add.reduce(hit, axis=-1) / len(dataset)
     return hits if params.ndim == 2 else float(hits)
 
 

@@ -202,16 +202,21 @@ class Simulation:
         # auditor scores the whole stack in one accuracy call
         uploads = np.stack(list(uploads_prev.values()))
         stack = np.vstack([theta_then, theta_before + uploads])
-        scores = {a.id: accuracy(stack, model, a.audit_dataset).tolist()
-                  for a in auditors}
+        scores = np.reshape([accuracy(stack, model, a.audit_dataset) for a in auditors],
+                            (len(auditors), len(stack)))
+        reports = (scores[:, :1] - scores[:, 1:]).tolist()
+        # rows in the order a target-major fill creates them: an auditor's
+        # row starts at the first target it audits, so the first target's
+        # own row goes last and a row with no peer target is absent.
+        # reports_for() follows this order, and contribution_step sums the
+        # reports in it
+        targets = list(uploads_prev)
         matrix = AuditMatrix(round=self.round_index)
-        # filled target-major: reports_for() follows auditor insertion order,
-        # and contribution_step sums the reports in that order
-        for j, target_id in enumerate(uploads_prev, start=1):
-            for a in auditors:
-                if a.id != target_id:
-                    acc = scores[a.id]
-                    matrix.add(a.id, target_id, acc[0] - acc[j])
+        for a, row in sorted(zip(auditors, reports), key=lambda ar: ar[0].id == targets[0]):
+            peers = {t: r for t, r in zip(targets, row) if t != a.id}
+            if peers:
+                matrix.entries[a.id] = peers
+        for target_id in targets:
             self.ledger.contributions[target_id] = contribution_step(
                 self.ledger.contributions[target_id],
                 matrix.reports_for(target_id), alpha)

@@ -393,14 +393,26 @@ class TestAuditMatrix:
         assert received == reports([1, 2, 3, 6, 0])
         assert received != reports([0, 1, 2, 3, 6])  # the two orders differ here
 
-    def test_stacked_audit_equals_per_pair_reports(self):
-        # selfish riders hold public data, so they audit too; every report
-        # must equal the one-pair reference, in the same insertion order
-        cfg = standard_config(fair=4, plain=1, selfish=2, seed=3, rounds=5,
-                              local_epochs=2)
+    @pytest.mark.parametrize("roster, out_after_round_1, targets_seen", [
+        # selfish riders hold public data, so they audit too
+        (dict(fair=4, plain=1, selfish=2), set(), [(0, 7)] * 3),
+        # with the fair clients out, the selfish riders audit the plain
+        # rider first; the round before, their first target is out
+        (dict(fair=4, plain=1, selfish=2), {0, 1, 2, 3}, [(0, 7), (4, 3), (4, 3)]),
+        # one fair client left: its only audited upload is its own
+        (dict(fair=3, plain=1), {1, 2, 3}, [(0, 4), (0, 1), (0, 1)]),
+    ], ids=["all_active", "first_target_out", "own_upload_only"])
+    def test_stacked_audit_equals_per_pair_reports(self, roster, out_after_round_1,
+                                                   targets_seen):
+        # every report must equal the one-pair reference, with rows and items
+        # in the reference's insertion order, empty rows absent
+        cfg = standard_config(**roster, seed=3, rounds=5, local_epochs=2)
         sim = Simulation(cfg)
         selfish = {c.id for c in sim.clients if c.kind == "selfish"}
-        for _ in range(cfg.rounds):
+        seen = []
+        for t in range(cfg.rounds):
+            if t == 2:
+                sim.ledger.eliminated |= out_after_round_1
             pending = sim._pending_audit
             auditors = [c for c in sim._active_clients()
                         if c.audit_dataset is not None]
@@ -408,6 +420,7 @@ class TestAuditMatrix:
             if pending is None:
                 continue
             uploads, theta_then, theta_before = pending
+            seen.append((next(iter(uploads)), len(uploads)))
             expected = AuditMatrix(round=sim.last_audit_matrix.round)
             for target_id, upload in uploads.items():
                 for a in auditors:
@@ -419,6 +432,7 @@ class TestAuditMatrix:
             assert list(entries) == list(expected.entries)
             for auditor, row in expected.entries.items():
                 assert list(entries[auditor].items()) == list(row.items())
+        assert seen == targets_seen
 
 
 class TestOtherRiderVariants:
