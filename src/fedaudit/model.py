@@ -118,7 +118,9 @@ def _forward(layers, features: np.ndarray) -> list[np.ndarray]:
     [x, 1], or for a (C, n, d + 1) stack under (C, ...)-stacked layers.
     (n, d + 1) features under (T, ...)-stacked layers give (T, n, ...): T
     parameter vectors scored on one dataset. The output layer's product is
-    the caller's: hidden[-1] @ layers[-1] gives row-major logits. Every layer
+    the caller's: accuracy and _backprop form class-first logits with
+    _class_first_logits, and forward_loss keeps the row-major
+    hidden[-1] @ layers[-1] as a reference independent of them. Every layer
     input carries the ones column, so a layer is one matmul. A hidden layer's
     product is written into the first columns of an array whose last column
     is 1, and tanh runs there in place, because a second temporary of the
@@ -243,7 +245,10 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def forward_loss(params: np.ndarray, config: ModelConfig,
                  batch: Dataset) -> tuple[float, float]:
-    """Mean softmax cross-entropy and argmax accuracy on the batch."""
+    """Mean softmax cross-entropy and argmax accuracy on the batch. Its
+    logits are row-major on purpose: the finite-difference gradient checks
+    differentiate this loss, so it stays independent of the class-first
+    kernel that backward and accuracy use."""
     _check_batch(config, batch)
     layers = _augmented(params, config)
     logits = _forward(layers, _with_ones(batch.features))[-1] @ layers[-1]
@@ -284,18 +289,12 @@ def accuracy(params: np.ndarray, config: ModelConfig,
              dataset: Dataset) -> float | np.ndarray:
     """Fraction of argmax-correct predictions on the dataset. A (T, d) stack
     of parameter vectors gives the (T,) array of each row's accuracy, equal
-    bitwise to scoring the rows one at a time.
-
-    A stack is scored on class-first logits by _first_max_hits. A single
-    vector keeps a row-major argmax: on one vector's n rows it costs less
-    than the scan's five numpy calls per class."""
+    bitwise to scoring the rows one at a time. A single vector and a stack
+    are both scored on class-first logits by _first_max_hits."""
     _check_batch(config, dataset)
     layers = _augmented(params, config)
     h = _forward(layers, _with_ones(dataset.features))[-1]
-    if params.ndim == 1:
-        hit = (h @ layers[-1]).argmax(axis=-1) == dataset.labels
-    else:
-        hit = _first_max_hits(_class_first_logits(h, layers[-1]), dataset.labels)
+    hit = _first_max_hits(_class_first_logits(h, layers[-1]), dataset.labels)
     hits = np.add.reduce(hit, axis=-1) / len(dataset)
     return hits if params.ndim == 2 else float(hits)
 

@@ -37,15 +37,12 @@ class PrivacyConfig:
 
     noise_variance: float = 0.0
     prune_rate: float = 0.0
-    prune_mode: str = "mask"  # "mask" zeroes coordinates; "scale" shrinks by (1 - rate)
 
     def __post_init__(self):
         if self.noise_variance < 0:
             raise ValueError("noise_variance: must be >= 0")
         if not 0 <= self.prune_rate < 1:
             raise ValueError("prune_rate: must lie in [0, 1)")
-        if self.prune_mode not in ("mask", "scale"):
-            raise ValueError(f"prune_mode: {self.prune_mode!r} not one of ('mask', 'scale')")
 
 
 def minimize(*args, **kwargs):
@@ -73,16 +70,11 @@ def add_gaussian_noise(update: np.ndarray, noise_variance: float,
     return update + rng.normal(0.0, np.sqrt(noise_variance), update.shape)
 
 
-def prune_update(update: np.ndarray, rate: float, rng: np.random.Generator,
-                 mode: str = "mask") -> np.ndarray:
-    """Zero round(rate * d) uniformly chosen coordinates (mode "mask"),
-    or shrink every coordinate by (1 - rate) (mode "scale")."""
+def prune_update(update: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Zero round(rate * d) uniformly chosen coordinates; the rest pass
+    unchanged."""
     if not 0 <= rate < 1:
         raise ValueError("prune rate must lie in [0, 1)")
-    if mode == "scale":
-        return (1.0 - rate) * update
-    if mode != "mask":
-        raise ValueError(f"unknown prune mode {mode!r}")
     out = update.copy()
     k = int(round(rate * update.shape[0]))
     if k:
@@ -94,7 +86,7 @@ def apply_privacy(update: np.ndarray, config: PrivacyConfig,
                   rng: np.random.Generator) -> np.ndarray:
     """The full upload transform: Gaussian noise, then prune."""
     noised = add_gaussian_noise(update, config.noise_variance, rng)
-    return prune_update(noised, config.prune_rate, rng, config.prune_mode)
+    return prune_update(noised, config.prune_rate, rng)
 
 
 def leak_gradient(theta_prev: np.ndarray, theta_next: np.ndarray, eta: float) -> np.ndarray:

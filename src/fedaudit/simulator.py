@@ -137,7 +137,6 @@ class Simulation:
         if initial is None:
             initial = 1.0 / n
         self.ledger = ContributionLedger.fresh([c.id for c in self.clients], initial)
-        self.initial_roster_size = n
 
         self.params = init_params(config.model, _seed_int(init_seq))
         self.prev_params: np.ndarray | None = None  # params before the last aggregation
@@ -145,7 +144,6 @@ class Simulation:
         self.alloc: np.ndarray | None = None  # delta allocated this round
         self._pending_audit = None  # (uploads, theta_at_upload, theta_before_upload)
         self.last_audit_matrix: AuditMatrix | None = None
-        self.round_index = 0
         self.logs: list[RoundLog] = []
         self.halted_early = False
 
@@ -211,7 +209,7 @@ class Simulation:
         # reports_for() follows this order, and contribution_step sums the
         # reports in it
         targets = list(uploads_prev)
-        matrix = AuditMatrix(round=self.round_index)
+        matrix = AuditMatrix(round=len(self.logs))
         for a, row in sorted(zip(auditors, reports), key=lambda ar: ar[0].id == targets[0]):
             peers = {t: r for t, r in zip(targets, row) if t != a.id}
             if peers:
@@ -222,7 +220,7 @@ class Simulation:
                 matrix.reports_for(target_id), alpha)
         self.last_audit_matrix = matrix
         if self.config.defense.threshold_mode == "initial":
-            n_thr = self.initial_roster_size
+            n_thr = len(self.clients)
         else:
             n_thr = len(self.ledger.active_ids())
         return eliminate_low_contributors(self.ledger, self.config.defense.beta, n_thr)
@@ -236,7 +234,7 @@ class Simulation:
                 self.ledger.contributions[cid], delta, upload, alpha)
         cutoff = self.config.defense.rffl_threshold
         if cutoff is None:
-            cutoff = 1.0 / (3.0 * self.initial_roster_size)
+            cutoff = 1.0 / (3.0 * len(self.clients))
         return self.ledger.eliminate_below(cutoff)
 
     def _aggregate(self, uploads: dict[int, np.ndarray],
@@ -286,7 +284,7 @@ class Simulation:
     def run_round(self) -> RoundLog:
         """Run one full round and return its log."""
         cfg = self.config
-        t = self.round_index
+        t = len(self.logs)
         newly: set[int] = set()
         if cfg.defense.kind == "pass" and self._pending_audit is not None:
             newly = self._consume_audits()
@@ -317,8 +315,7 @@ class Simulation:
             newly |= self._rffl_score(uploads, delta)
 
         if cfg.defense.kind == "pass" and t >= 1:
-            prune_gamma = cfg.privacy.prune_rate if cfg.privacy.prune_mode == "mask" else 0.0
-            comm = comm_cost(len(active), prune_gamma, self.dim)
+            comm = comm_cost(len(active), cfg.privacy.prune_rate, self.dim)
         else:
             comm = len(active) * self.dim
 
@@ -331,7 +328,6 @@ class Simulation:
             comm_scalars=comm,
         )
         self.logs.append(log)
-        self.round_index += 1
         return log
 
     def run(self) -> ExperimentResult:
@@ -400,8 +396,11 @@ def sweep_experiment(base: ExperimentConfig, sweep: dict) -> list[dict]:
             if name is None:
                 cfg = _with_fr_count(cfg, value)
             else:
-                cfg = replace(cfg, **{section: replace(getattr(cfg, section),
-                                                       **{name: value})})
+                try:
+                    cfg = replace(cfg, **{section: replace(getattr(cfg, section),
+                                                           **{name: value})})
+                except ValueError as exc:  # PrivacyConfig checks its ranges when built
+                    raise ConfigError(f"{section}.{exc}") from exc
         cfg.validate()
         plan.append((named, cfg))
     rows = []

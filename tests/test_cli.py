@@ -85,13 +85,16 @@ class TestRun:
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert "data.samples_per_client/holdout_samples: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["num_classes", "input_dim"])
-    def test_data_dims_are_unknown_keys_exit_1(self, tmp_path, capsys, key):
-        # synthetic data takes the model's shape, so `data` has no dims
-        payload = {**RUN_CONFIG, "data": {**RUN_CONFIG["data"], key: 3}}
+    @pytest.mark.parametrize("section, key", [("data", "num_classes"),
+                                              ("data", "input_dim"),
+                                              ("privacy", "prune_mode")])
+    def test_removed_keys_are_unknown_keys_exit_1(self, tmp_path, capsys, section, key):
+        # synthetic data takes the model's shape, so `data` has no dims, and
+        # pruning has one transform, so `privacy` has no mode
+        payload = {**RUN_CONFIG, section: {**RUN_CONFIG[section], key: 3}}
         path = write_config(tmp_path, payload)
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
-        assert f"data: unknown keys ['{key}']" in capsys.readouterr().err
+        assert f"{section}: unknown keys ['{key}']" in capsys.readouterr().err
 
     def test_model_section_without_input_dim_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, {**RUN_CONFIG, "model": {"num_classes": 3}})
@@ -184,17 +187,21 @@ class TestSweep:
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert f"sweep.{key}: must be a list of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep, path", [
+        ({"beta": [1.75, 1.5, 0.5]}, "defense.beta"),
+        ({"gamma": [0.9, 1.5]}, "privacy.prune_rate"),
+        ({"noise_variance": [0.0, -1.0]}, "privacy.noise_variance"),
+    ], ids=["beta", "gamma", "noise_variance"])
     def test_bad_late_value_exits_1_before_any_run(self, tmp_path, capsys,
-                                                   monkeypatch):
+                                                   monkeypatch, sweep, path):
         runs = []
         original_run = Simulation.run
         monkeypatch.setattr(Simulation, "run",
                             lambda self: runs.append(1) or original_run(self))
-        path = write_config(tmp_path, {**RUN_CONFIG, "rounds": 2,
-                                       "sweep": {"beta": [1.75, 1.5, 0.5]}})
+        config = write_config(tmp_path, {**RUN_CONFIG, "rounds": 2, "sweep": sweep})
         out = tmp_path / "o"
-        assert main(["sweep", "--config", path, "--out", str(out)]) == 1
-        assert "defense.beta" in capsys.readouterr().err
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 1
+        assert f"{path}: must" in capsys.readouterr().err
         assert runs == []
         assert not (out / "sweep.csv").exists()
 

@@ -67,11 +67,6 @@ class TestPrune:
         out = prune_update(np.ones(10), 0.5, np.random.default_rng(4))
         assert out.sum() == 5.0
 
-    def test_scale_mode(self):
-        u = np.array([2.0, -4.0])
-        out = prune_update(u, 0.25, np.random.default_rng(0), mode="scale")
-        assert np.allclose(out, [1.5, -3.0])
-
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
             prune_update(np.ones(4), 1.0, np.random.default_rng(0))
@@ -90,8 +85,6 @@ class TestComposition:
             PrivacyConfig(noise_variance=-1.0)
         with pytest.raises(ValueError):
             PrivacyConfig(prune_rate=1.0)
-        with pytest.raises(ValueError):
-            PrivacyConfig(prune_mode="shrink")
 
 
 class TestLeakGradient:

@@ -2,8 +2,9 @@
 
 import copy
 import struct
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -237,6 +238,13 @@ class TestConfigValidation:
             config_from_dict({"rounds": 3, "bogus": 1})
         with pytest.raises(ConfigError, match="defense"):
             config_from_dict({"defense": {"kind": "pass", "gamma": 0.9}})
+
+    def test_settable_config_values_are_pinned(self):
+        # each top-level scalar and each section field is one settable value;
+        # adding or removing a knob is a declared edit of this count
+        hints = get_type_hints(ExperimentConfig)
+        assert sum(len(fields(hint)) if is_dataclass(hint) else 1
+                   for hint in hints.values()) == 36
 
     def test_absent_sections_keep_the_documented_defaults(self):
         assert config_from_dict({}) == ExperimentConfig()
