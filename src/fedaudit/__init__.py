@@ -20,8 +20,8 @@ from .model import (AdamState, ModelConfig, accuracy, adam_step, backward,
                     sgd_step, unflatten)
 from .privacy import (DEFENDED_MSE_THRESHOLD, PrivacyConfig,
                       ReconstructionDivergedError, add_gaussian_noise,
-                      apply_privacy, dlg_reconstruct, leak_gradient,
-                      prune_update, reconstruction_mse)
+                      apply_privacy, dlg_reconstruct, prune_update,
+                      reconstruction_mse)
 from .scenarios import standard_config
 from .simulator import (DLGCell, DLGExperimentConfig, ExperimentResult, RoundLog,
                         Simulation, comm_cost, run_dlg_experiment,

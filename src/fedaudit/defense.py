@@ -35,11 +35,6 @@ class AuditMatrix:
     round: int
     entries: dict[int, dict[int, float]] = field(default_factory=dict)
 
-    def add(self, auditor: int, target: int, value: float) -> None:
-        if auditor == target:
-            raise ValueError("self-audits are excluded")
-        self.entries.setdefault(auditor, {})[target] = value
-
     def reports_for(self, target: int) -> list[float]:
         return [row[target] for row in self.entries.values() if target in row]
 

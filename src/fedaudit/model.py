@@ -404,9 +404,10 @@ def adam_step(state: AdamState, params: np.ndarray,
 
 
 def epoch_permutations(n: int, epochs: int, rng: np.random.Generator) -> np.ndarray:
-    """Simple-shuffle schedule: one sample permutation per epoch, (epochs, n)."""
-    return np.stack([rng.permutation(n) for _ in range(epochs)]) if epochs else \
-        np.empty((0, n), dtype=np.int64)
+    """Simple-shuffle schedule: one sample permutation per epoch, (epochs, n).
+    One permuted call shuffles the rows in turn, drawing the stream that
+    epochs calls to rng.permutation(n) would draw."""
+    return rng.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
 
 
 def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
@@ -432,11 +433,18 @@ def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
     else:
         if perms is None or perms.shape != (C, epochs, n):
             raise ValueError("minibatch training needs perms of shape (C, epochs, n)")
-        # one gather per epoch; each step takes views of its batch_size columns
-        rows = np.arange(C)[:, None]
+        # an entry outside [0, n) would make the flat take read another
+        # client's sample
+        if perms.size and not 0 <= perms.min() <= perms.max() < n:
+            raise ValueError("perms entries must be sample indices in [0, n)")
+        # one take per epoch on the flattened client axis (cheaper than 2-D
+        # fancy indexing); each step takes views of its batch_size columns
         stop = n - n % batch_size
-        gathered = ((features[rows, idx], targets[:, rows, idx])
-                    for idx in perms[:, :, :stop].swapaxes(0, 1))
+        flat_idx = perms.swapaxes(0, 1)[..., :stop] + np.arange(C)[:, None] * n
+        flat_features = features.reshape(C * n, features.shape[-1])
+        flat_targets = targets.reshape(len(targets), C * n)
+        gathered = ((flat_features.take(idx, axis=0), flat_targets.take(idx, axis=1))
+                    for idx in flat_idx)
         batches = ((f[:, s:s + batch_size], t[..., s:s + batch_size])
                    for f, t in gathered for s in range(0, stop, batch_size))
     layers = [np.repeat(wb[None], C, axis=0) for wb in _augmented(params, config)]

@@ -89,15 +89,6 @@ def apply_privacy(update: np.ndarray, config: PrivacyConfig,
     return prune_update(noised, config.prune_rate, rng)
 
 
-def leak_gradient(theta_prev: np.ndarray, theta_next: np.ndarray, eta: float) -> np.ndarray:
-    """Recover the gradient implied by one SGD transition: (prev - next) / eta."""
-    if eta <= 0:
-        raise ValueError("eta must be > 0")
-    if theta_prev.shape != theta_next.shape:
-        raise ValueError("parameter vectors must have matching dims")
-    return (theta_prev - theta_next) / eta
-
-
 def reconstruction_mse(raw: Dataset, reconstructed: Dataset) -> float:
     """Mean squared difference over all feature entries."""
     if raw.features.shape != reconstructed.features.shape:

@@ -450,18 +450,22 @@ class TestBatchedTraining:
             assert not np.array_equal(trained[0], kept)
             assert np.array_equal(p0, kept)
 
-    @pytest.mark.parametrize("n, batch_size, epochs",
-                             [(12, 12, 3), (23, 5, 3), (10, 4, 0),
-                              (12, None, 3), (12, None, 0)])
-    def test_bitwise_equals_backward_sgd_oracle(self, n, batch_size, epochs):
+    @pytest.mark.parametrize("n, batch_size, epochs, hidden, C, k", [
+        pytest.param(12, 12, 3, (3,), 3, 6, id="12-12-3"),
+        pytest.param(23, 5, 3, (3,), 3, 6, id="23-5-3"),
+        pytest.param(10, 4, 0, (3,), 3, 6, id="10-4-0"),
+        pytest.param(12, None, 3, (3,), 3, 6, id="12-None-3"),
+        pytest.param(12, None, 0, (3,), 3, 6, id="12-None-0"),
+        pytest.param(20, 6, 4, (), 5, 5, id="linear-20-6-4"),
+    ])
+    def test_bitwise_equals_backward_sgd_oracle(self, n, batch_size, epochs, hidden, C, k):
         # one gather per epoch, sliced per step, against backward + sgd_step
         # on each client's own minibatches; each epoch's remainder is dropped
-        cfg = ModelConfig(4, (3,), 6)
+        cfg = ModelConfig(4, hidden, k)
         p0 = init_params(cfg, 2)
         rng = np.random.default_rng(n)
-        C = 3
         feats = rng.standard_normal((C, n, 4))
-        labels = rng.integers(0, 6, (C, n))
+        labels = rng.integers(0, k, (C, n))
         perms = None
         if batch_size is not None:
             perms = np.stack([epoch_permutations(n, epochs, np.random.default_rng(i))
@@ -474,27 +478,35 @@ class TestBatchedTraining:
                 perm = np.arange(n) if perms is None else perms[i, e]
                 for start in range(0, n - b + 1, b):
                     idx = perm[start:start + b]
-                    mini = Dataset(feats[i][idx], labels[i][idx], 6)
+                    mini = Dataset(feats[i][idx], labels[i][idx], k)
                     params = sgd_step(params, backward(params, cfg, mini), 0.1)
             assert np.array_equal(batched[i], params)
 
-    def test_minibatch_bitwise_equals_single(self):
-        # the oracle: backward + sgd_step over the gathered minibatches, with
-        # each epoch's remainder smaller than the batch size dropped
-        cfg = ModelConfig(4, (), 5)
-        p0 = init_params(cfg, 3)
-        rng = np.random.default_rng(4)
-        C, n, b, epochs = 5, 20, 6, 4
-        feats = rng.standard_normal((C, n, 4))
-        labels = rng.integers(0, 5, (C, n))
-        perms = np.stack([epoch_permutations(n, epochs, np.random.default_rng(50 + i))
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_out_of_range_perms_rejected(self, bad):
+        # one flat index space spans every client's samples, so an entry
+        # outside [0, n) must raise, not read another client's sample
+        cfg = ModelConfig(4, (), 3)
+        C, n, epochs = 3, 8, 2
+        perms = np.stack([epoch_permutations(n, epochs, np.random.default_rng(i))
                           for i in range(C)])
-        batched = train_clients(p0, cfg, feats, labels, 0.1, epochs, perms, b)
-        for i in range(C):
-            params = p0
-            for perm in perms[i]:
-                for start in range(0, n - b + 1, b):
-                    idx = perm[start:start + b]
-                    mini = Dataset(feats[i][idx], labels[i][idx], 5)
-                    params = sgd_step(params, backward(params, cfg, mini), 0.1)
-            assert np.array_equal(batched[i], params)
+        perms[1, 1, 0] = bad
+        with pytest.raises(ValueError, match="perms entries"):
+            train_clients(init_params(cfg, 0), cfg, np.zeros((C, n, 4)),
+                          np.zeros((C, n), dtype=int), 0.1, epochs, perms, 4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 1234])
+    @pytest.mark.parametrize("n", [1, 2, 100, 257])
+    @pytest.mark.parametrize("epochs", [0, 1, 30])
+    def test_epoch_permutations_equal_per_epoch_draws(self, seed, n, epochs):
+        # the shuffle stream is part of every minibatch run's bits: the
+        # schedule must be the per-epoch rng.permutation draws, and leave the
+        # generator where they leave it
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        perms = epoch_permutations(n, epochs, rng)
+        ref = np.stack([ref_rng.permutation(n) for _ in range(epochs)]) if epochs else \
+            np.empty((0, n), dtype=np.int64)
+        assert perms.dtype == ref.dtype == np.int64
+        assert perms.shape == ref.shape == (epochs, n)
+        assert np.array_equal(perms, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

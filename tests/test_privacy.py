@@ -11,12 +11,12 @@ import pytest
 import fedaudit.privacy
 from fedaudit.data import Dataset
 from fedaudit.model import (ModelConfig, backward, backward_soft, init_params,
-                            matching_loss, param_count, sgd_step)
+                            matching_loss, param_count)
 from fedaudit.privacy import (DEFENDED_MSE_THRESHOLD, PrivacyConfig,
                               PUBLISHED_MSE, PUBLISHED_NOISE_LEVELS,
                               PUBLISHED_PRUNE_RATES, ReconstructionDivergedError,
                               add_gaussian_noise, apply_privacy, dlg_reconstruct,
-                              leak_gradient, prune_update, reconstruction_mse)
+                              prune_update, reconstruction_mse)
 
 
 def single_sample_instance(input_dim=8, num_classes=2, seed=0):
@@ -85,25 +85,6 @@ class TestComposition:
             PrivacyConfig(noise_variance=-1.0)
         with pytest.raises(ValueError):
             PrivacyConfig(prune_rate=1.0)
-
-
-class TestLeakGradient:
-    def test_round_trip_with_sgd(self):
-        cfg, params, raw, grad = single_sample_instance()
-        theta_next = sgd_step(params, grad, 0.1)
-        assert np.allclose(leak_gradient(params, theta_next, 0.1), grad, atol=1e-12)
-
-    def test_equal_params_zero(self):
-        p = np.ones(4)
-        assert np.array_equal(leak_gradient(p, p, 0.5), np.zeros(4))
-
-    def test_arithmetic(self):
-        prev = np.array([0.01, -0.02])
-        assert np.allclose(leak_gradient(prev, np.zeros(2), 0.1), [0.1, -0.2])
-
-    def test_zero_eta_rejected(self):
-        with pytest.raises(ValueError):
-            leak_gradient(np.ones(2), np.zeros(2), 0.0)
 
 
 class TestReconstructionMse:

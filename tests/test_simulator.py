@@ -433,8 +433,9 @@ class TestAuditMatrix:
             for target_id, upload in uploads.items():
                 for a in auditors:
                     if a.id != target_id:
-                        expected.add(a.id, target_id, audit_peer_update(
-                            a.audit_dataset, cfg.model, theta_then, theta_before, upload))
+                        row = expected.entries.setdefault(a.id, {})
+                        row[target_id] = audit_peer_update(
+                            a.audit_dataset, cfg.model, theta_then, theta_before, upload)
             entries = sim.last_audit_matrix.entries
             assert selfish <= set(entries)
             assert list(entries) == list(expected.entries)
