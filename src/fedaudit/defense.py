@@ -35,9 +35,6 @@ class AuditMatrix:
     round: int
     entries: dict[int, dict[int, float]] = field(default_factory=dict)
 
-    def reports_for(self, target: int) -> list[float]:
-        return [row[target] for row in self.entries.values() if target in row]
-
 
 @dataclass
 class ContributionLedger:

@@ -13,6 +13,10 @@ contribution update lands in round 2.
 from __future__ import annotations
 
 import itertools
+import os
+import sys
+import threading
+import traceback
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -144,6 +148,7 @@ class Simulation:
         self.alloc: np.ndarray | None = None  # delta allocated this round
         self._pending_audit = None  # (uploads, theta_at_upload, theta_before_upload)
         self.last_audit_matrix: AuditMatrix | None = None
+        self._worker: _TrainingWorker | None = None  # set only while run() runs
         self.logs: list[RoundLog] = []
         self.halted_early = False
 
@@ -196,28 +201,30 @@ class Simulation:
         auditors = [c for c in self._active_clients() if c.audit_dataset is not None]
         model = self.config.model
         alpha = self.config.defense.alpha
+        targets = list(uploads_prev)
+        # rows in the order a target-major fill creates them: an auditor's
+        # row starts at the first target it audits, so the first target's
+        # own row goes last and a row with no peer target is absent.
+        # contribution_step sums each target's reports in this row order
+        auditors.sort(key=lambda a: a.id == targets[0])
         # row 0 is theta_then, row j is theta_before + the j-th upload; each
         # auditor scores the whole stack in one accuracy call
         uploads = np.stack(list(uploads_prev.values()))
         stack = np.vstack([theta_then, theta_before + uploads])
         scores = np.reshape([accuracy(stack, model, a.audit_dataset) for a in auditors],
                             (len(auditors), len(stack)))
-        reports = (scores[:, :1] - scores[:, 1:]).tolist()
-        # rows in the order a target-major fill creates them: an auditor's
-        # row starts at the first target it audits, so the first target's
-        # own row goes last and a row with no peer target is absent.
-        # reports_for() follows this order, and contribution_step sums the
-        # reports in it
-        targets = list(uploads_prev)
+        reports = scores[:, :1] - scores[:, 1:]
         matrix = AuditMatrix(round=len(self.logs))
-        for a, row in sorted(zip(auditors, reports), key=lambda ar: ar[0].id == targets[0]):
+        for a, row in zip(auditors, reports.tolist()):
             peers = {t: r for t, r in zip(targets, row) if t != a.id}
             if peers:
                 matrix.entries[a.id] = peers
-        for target_id in targets:
+        row_of = {a.id: i for i, a in enumerate(auditors)}
+        for target_id, column in zip(targets, reports.T.tolist()):
+            if target_id in row_of:
+                del column[row_of[target_id]]  # no self-audit
             self.ledger.contributions[target_id] = contribution_step(
-                self.ledger.contributions[target_id],
-                matrix.reports_for(target_id), alpha)
+                self.ledger.contributions[target_id], column, alpha)
         self.last_audit_matrix = matrix
         if self.config.defense.threshold_mode == "initial":
             n_thr = len(self.clients)
@@ -253,32 +260,45 @@ class Simulation:
         pseudo = [-v / self.config.eta for v in vectors]
         return aggregation.signsgd_aggregate(pseudo, self.config.eta)
 
-    def _compute_updates(self, active: list[Client]) -> dict[int, np.ndarray]:
-        """Per-client raw updates; the active fair clients train as one stack
-        (model.train_clients), every other client through its compute_update."""
+    def _train_fair(self, params: np.ndarray, ids: list[int]) -> np.ndarray:
+        """Train the fair clients `ids` as one stack (model.train_clients)
+        from params; returns their (len(ids), d) trained parameter vectors."""
         cfg = self.config
-        updates: dict[int, np.ndarray] = {}
-        fair_active = [c for c in active if c.kind == "fair"]
-        if fair_active:
-            features = np.stack([c.shard.features for c in fair_active])
-            labels = np.stack([c.shard.labels for c in fair_active])
-            if cfg.local_batch_size is None:
-                perms = None
-            else:
-                # shuffles drawn per client from its own stream, in id order
-                perms = np.stack([
-                    epoch_permutations(len(c.shard), cfg.local_epochs,
-                                       self.client_rngs[c.id])
-                    for c in fair_active])
-            trained = train_clients(self.params, cfg.model, features, labels,
-                                    cfg.eta, cfg.local_epochs, perms,
-                                    cfg.local_batch_size)
-            for i, c in enumerate(fair_active):
-                updates[c.id] = trained[i] - self.params
-        for c in active:
-            if c.kind != "fair":
-                updates[c.id] = c.compute_update(self.params, self.alloc, cfg.model,
-                                                 cfg.eta, self.client_rngs[c.id])
+        shards = [self.clients[cid].shard for cid in ids]
+        features = np.stack([s.features for s in shards])
+        labels = np.stack([s.labels for s in shards])
+        if cfg.local_batch_size is None:
+            perms = None
+        else:
+            # shuffles drawn per client from its own stream, in id order
+            perms = np.stack([
+                epoch_permutations(len(s), cfg.local_epochs, self.client_rngs[cid])
+                for cid, s in zip(ids, shards)])
+        return train_clients(params, cfg.model, features, labels, cfg.eta,
+                             cfg.local_epochs, perms, cfg.local_batch_size)
+
+    def _compute_updates(self, active: list[Client]) -> dict[int, np.ndarray]:
+        """Per-client raw updates; the active fair clients train as one stack,
+        every other client through its compute_update. With a training worker
+        the parent trains the first half of the fair stack while the worker
+        trains the second; train_clients works per client, so the two blocks
+        are bitwise the rows of the whole stack."""
+        cfg = self.config
+        fair_ids = [c.id for c in active if c.kind == "fair"]
+        local, remote = fair_ids, []
+        if self._worker is not None and len(fair_ids) >= 2:
+            half = len(fair_ids) // 2
+            local, remote = fair_ids[:half], fair_ids[half:]
+            self._worker.submit(self.params, remote)
+        blocks = [self._train_fair(self.params, local)] if local else []
+        updates = {c.id: c.compute_update(self.params, self.alloc, cfg.model,
+                                          cfg.eta, self.client_rngs[c.id])
+                   for c in active if c.kind != "fair"}
+        if remote:
+            blocks.append(self._worker.result())
+        if blocks:
+            for cid, trained in zip(fair_ids, np.concatenate(blocks)):
+                updates[cid] = trained - self.params
         return {c.id: updates[c.id] for c in active}
 
     def run_round(self) -> RoundLog:
@@ -331,12 +351,22 @@ class Simulation:
         return log
 
     def run(self) -> ExperimentResult:
-        for _ in range(self.config.rounds):
-            try:
-                self.run_round()
-            except AllClientsEliminated:
-                self.halted_early = True
-                break
+        """Run every round. Where _splits_training allows, one forked worker
+        trains half of the fair stack each round; it is joined before run()
+        returns or raises."""
+        if _splits_training(self.config):
+            self._worker = _TrainingWorker(self)
+        try:
+            for _ in range(self.config.rounds):
+                try:
+                    self.run_round()
+                except AllClientsEliminated:
+                    self.halted_early = True
+                    break
+        finally:
+            if self._worker is not None:
+                self._worker.close()
+                self._worker = None
         return ExperimentResult(
             config=self.config,
             rounds=tuple(self.logs),
@@ -348,6 +378,66 @@ class Simulation:
             total_comm_scalars=sum(log.comm_scalars for log in self.logs),
             halted_early=self.halted_early,
         )
+
+
+def _splits_training(config: ExperimentConfig) -> bool:
+    """Whether Simulation.run() trains half of each round's fair stack in a
+    forked worker: on Linux, with at least two CPUs usable by this process,
+    full-batch training (minibatch shuffles draw from the parent's client
+    streams), at least two fair clients, and no other Python thread (fork
+    copies only the calling thread). `taskset -c 0` keeps a run serial."""
+    return (sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+            and config.local_batch_size is None and config.roster.fair >= 2
+            and threading.active_count() == 1)
+
+
+class _TrainingWorker:
+    """A forked process that trains a tail of the fair stack on request.
+
+    It reads the shards it inherited at fork, so a request carries only the
+    parameters and the client ids, and a reply only the trained block (or a
+    traceback). Closing the parent's end of the pipe ends it: its next
+    receive reads EOF, or its reply meets a broken pipe.
+    """
+
+    def __init__(self, sim: Simulation):
+        import multiprocessing  # on first use, so building a Simulation stays cheap
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_conn = ctx.Pipe()
+        self.process = ctx.Process(target=self._serve, args=(sim, child_conn))
+        self.process.start()
+        child_conn.close()
+
+    def _serve(self, sim: Simulation, conn) -> None:
+        self.conn.close()  # the parent's end, inherited at fork
+        try:
+            while True:
+                params, ids = conn.recv()
+                try:
+                    reply = sim._train_fair(params, ids)
+                except Exception:  # reported to the parent, which raises it
+                    reply = traceback.format_exc()
+                conn.send(reply)
+        except (EOFError, BrokenPipeError):
+            return
+
+    def submit(self, params: np.ndarray, ids: list[int]) -> None:
+        self.conn.send((params, ids))
+
+    def result(self) -> np.ndarray:
+        try:
+            reply = self.conn.recv()
+        except EOFError:
+            self.process.join()
+            raise RuntimeError(f"training worker exited with code "
+                               f"{self.process.exitcode}") from None
+        if isinstance(reply, str):
+            raise RuntimeError(f"training worker failed:\n{reply}")
+        return reply
+
+    def close(self) -> None:
+        self.conn.close()
+        self.process.join()
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

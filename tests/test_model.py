@@ -425,6 +425,22 @@ class TestBatchedTraining:
                 for i in range(7)])
             assert np.array_equal(batched, singles)
 
+    @pytest.mark.parametrize("hidden", [(), (5,)], ids=["linear", "hidden"])
+    @pytest.mark.parametrize("C", [2, 3, 10])
+    def test_halves_bitwise_equal_the_whole_stack(self, hidden, C):
+        # the simulator's training worker trains the second half of the fair
+        # stack on its own; the two blocks must be the whole stack's rows
+        cfg = ModelConfig(3, hidden, 6)
+        p0 = init_params(cfg, 3)
+        rng = np.random.default_rng(C)
+        feats = rng.standard_normal((C, 15, 3))
+        labels = rng.integers(0, 6, (C, 15))
+        whole = train_clients(p0, cfg, feats, labels, 0.1, 25)
+        half = C // 2
+        halves = np.concatenate([train_clients(p0, cfg, feats[:half], labels[:half], 0.1, 25),
+                                 train_clients(p0, cfg, feats[half:], labels[half:], 0.1, 25)])
+        assert halves.tobytes() == whole.tobytes()
+
     def test_one_step_bitwise_equals_sgd_step(self):
         for hidden in ((), (4,), (5, 3)):
             cfg = ModelConfig(4, hidden, 3)

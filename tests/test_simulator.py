@@ -1,6 +1,8 @@
 """Round orchestration: allocation, audits, elimination, aggregation, logging."""
 
 import copy
+import multiprocessing
+import os
 import struct
 from dataclasses import fields, is_dataclass, replace
 from types import SimpleNamespace
@@ -18,10 +20,10 @@ from fedaudit.defense import AuditMatrix, audit_peer_update, contribution_step
 from fedaudit.model import (ModelConfig, epoch_permutations, init_params, param_count,
                             train_clients)
 from fedaudit.privacy import PrivacyConfig
-from fedaudit.reporting import rounds_csv_text
+from fedaudit.reporting import result_json_text, rounds_csv_text
 from fedaudit.scenarios import standard_config
-from fedaudit.simulator import (DLGExperimentConfig, Simulation, comm_cost,
-                                run_dlg_experiment, run_experiment,
+from fedaudit.simulator import (DLGExperimentConfig, Simulation, _TrainingWorker,
+                                comm_cost, run_dlg_experiment, run_experiment,
                                 sweep_experiment)
 
 
@@ -455,3 +457,116 @@ class TestOtherRiderVariants:
             assert result.dsr == 100.0
             kinds = {c.id: c.kind for c in Simulation(cfg).clients}
             assert {kinds[i] for i in result.fr_ids} == {"disguised", "anonymous"}
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs this process may use, as Simulation.run() sees them."""
+    def use(ids):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(ids))
+    return use
+
+
+@pytest.fixture
+def submits(monkeypatch):
+    """The fair client ids sent to the training worker, one list per round."""
+    sent = []
+    submit = _TrainingWorker.submit
+
+    def record(self, params, ids):
+        sent.append(list(ids))
+        return submit(self, params, ids)
+    monkeypatch.setattr(_TrainingWorker, "submit", record)
+    return sent
+
+
+class TestTrainingWorker:
+    @pytest.mark.parametrize("cfg", [
+        # 4 fair clients, then 3 after round 15, then 1 from round 19 on:
+        # the worker takes 2, then 2 of 3, then nothing
+        standard_config(fair=4, plain=1, seed=0, rounds=22),
+        standard_config(fair=4, plain=1, seed=2, rounds=12, defense="rffl"),
+    ], ids=["pass_shrinking", "rffl"])
+    def test_split_run_equals_serial(self, cpus, submits, cfg):
+        cpus({0})
+        serial = run_experiment(cfg)
+        assert submits == []
+        cpus({0, 1})
+        split = run_experiment(cfg)
+        assert {len(ids) for ids in submits} == {2}
+        assert result_json_text(split) == result_json_text(serial)
+        if cfg.defense.kind == "pass":
+            # the audit defense eliminates before a round trains
+            out, stacks = set(), []
+            for log in serial.rounds:
+                out |= set(log.newly_eliminated)
+                stacks.append(len(set(serial.fair_ids) - out))
+            assert {4, 3, 1} <= set(stacks)
+            assert len(submits) == stacks.count(4) + stacks.count(3)
+
+    def test_building_and_single_rounds_start_no_process(self, cpus, monkeypatch):
+        cpus({0, 1})
+
+        def no_fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "fork", no_fork)
+        sim = Simulation(standard_config(fair=4, plain=1, seed=0, rounds=3))
+        sim.run_round()
+        sim.run_round()
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_for_minibatch_one_cpu_or_one_fair_client(self, cpus, submits):
+        base = standard_config(fair=3, plain=1, seed=0, rounds=3)
+        cpus({0, 1})
+        run_experiment(replace(base, local_batch_size=10))
+        run_experiment(replace(base, roster=replace(base.roster, fair=1)))
+        cpus({0})
+        run_experiment(base)
+        assert submits == []
+
+    def test_no_child_left_after_return_or_halt(self, cpus, submits):
+        cpus({0, 1})
+        run_experiment(standard_config(fair=4, plain=1, seed=0, rounds=3))
+        assert multiprocessing.active_children() == []
+        # the cosine defense removes every client in round 0; round 1 halts
+        halted = run_experiment(tiny_config(
+            defense=DefenseSettings(kind="rffl", rffl_threshold=2.0), rounds=5))
+        assert halted.halted_early
+        assert multiprocessing.active_children() == []
+        assert len(submits) == 3 + 1
+
+    def test_no_child_left_after_a_round_raises(self, cpus, submits):
+        cpus({0, 1})
+        sim = Simulation(standard_config(fair=4, plain=1, seed=0, rounds=5))
+
+        def fail(uploads, active):
+            if len(sim.logs) == 2:
+                raise ValueError("aggregation failed")
+            return aggregate(uploads, active)
+        aggregate = sim._aggregate
+        sim._aggregate = fail
+        with pytest.raises(ValueError, match="aggregation failed"):
+            sim.run()
+        assert len(submits) == 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failure, message", [
+        ("raise", "(?s)training worker failed:.*ValueError: worker half"),
+        ("exit", "training worker exited with code 3"),
+    ], ids=["raises", "exits"])
+    def test_worker_failure_raises_in_run(self, cpus, monkeypatch, failure, message):
+        cpus({0, 1})
+        parent = os.getpid()
+        train = train_clients
+
+        def train_in_parent_only(*args):
+            if os.getpid() != parent:
+                if failure == "exit":
+                    os._exit(3)
+                raise ValueError("worker half")
+            return train(*args)
+        monkeypatch.setattr("fedaudit.simulator.train_clients", train_in_parent_only)
+        with pytest.raises(RuntimeError, match=message):
+            run_experiment(standard_config(fair=4, plain=1, seed=0, rounds=3))
+        assert multiprocessing.active_children() == []
+
