@@ -148,7 +148,7 @@ class Simulation:
         self.alloc: np.ndarray | None = None  # delta allocated this round
         self._pending_audit = None  # (uploads, theta_at_upload, theta_before_upload)
         self.last_audit_matrix: AuditMatrix | None = None
-        self._worker: _TrainingWorker | None = None  # set only while run() runs
+        self._worker: _ForkedWorker | None = None  # set only while run() runs
         self.logs: list[RoundLog] = []
         self.halted_early = False
 
@@ -352,10 +352,10 @@ class Simulation:
 
     def run(self) -> ExperimentResult:
         """Run every round. Where _splits_training allows, one forked worker
-        trains half of the fair stack each round; it is joined before run()
-        returns or raises."""
+        trains half of the fair stack each round; it is joined, and this
+        process's CPU mask restored, before run() returns or raises."""
         if _splits_training(self.config):
-            self._worker = _TrainingWorker(self)
+            self._worker = _ForkedWorker("training worker", self._train_fair)
         try:
             for _ in range(self.config.rounds):
                 try:
@@ -380,64 +380,88 @@ class Simulation:
         )
 
 
-def _splits_training(config: ExperimentConfig) -> bool:
-    """Whether Simulation.run() trains half of each round's fair stack in a
-    forked worker: on Linux, with at least two CPUs usable by this process,
-    full-batch training (minibatch shuffles draw from the parent's client
-    streams), at least two fair clients, and no other Python thread (fork
-    copies only the calling thread). `taskset -c 0` keeps a run serial."""
+def _can_fork() -> bool:
+    """Whether a run may fork a worker for half of its independent work: on
+    Linux, with at least two CPUs usable by this process and no other Python
+    thread (fork copies only the calling thread). `taskset -c 0` keeps every
+    run serial."""
     return (sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
-            and config.local_batch_size is None and config.roster.fair >= 2
             and threading.active_count() == 1)
 
 
-class _TrainingWorker:
-    """A forked process that trains a tail of the fair stack on request.
+def _splits_training(config: ExperimentConfig) -> bool:
+    """Whether Simulation.run() trains half of each round's fair stack in a
+    forked worker: where _can_fork allows, for full-batch training (minibatch
+    shuffles draw from the parent's client streams) and at least two fair
+    clients."""
+    return _can_fork() and config.local_batch_size is None and config.roster.fair >= 2
 
-    It reads the shards it inherited at fork, so a request carries only the
-    parameters and the client ids, and a reply only the trained block (or a
-    traceback). Closing the parent's end of the pipe ends it: its next
-    receive reads EOF, or its reply meets a broken pipe.
+
+# bound at import, so that pinning reads and restores the mask the kernel
+# holds even where os.sched_getaffinity is replaced (tests replace it to
+# force a split on or off)
+_cpu_mask = getattr(os, "sched_getaffinity", None)
+
+
+class _ForkedWorker:
+    """A forked process that calls `fn` on request.
+
+    It inherits the caller's state at fork, so a request carries only fn's
+    arguments, and a reply only its result (or a traceback). Until close(),
+    the worker runs on one CPU of this process's mask and this process on the
+    rest, so the two halves of a split never share a CPU; close() joins the
+    worker and restores the mask. Closing the parent's end of the pipe ends
+    the worker: its next receive reads EOF, or its reply meets a broken pipe.
     """
 
-    def __init__(self, sim: Simulation):
-        import multiprocessing  # on first use, so building a Simulation stays cheap
+    def __init__(self, name: str, fn):
+        import multiprocessing  # on first use, so that importing and building stay cheap
         ctx = multiprocessing.get_context("fork")
+        self.name = name
+        self.mask = _cpu_mask(0)
+        cpu = max(self.mask) if len(self.mask) >= 2 else None
         self.conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(target=self._serve, args=(sim, child_conn))
+        self.process = ctx.Process(target=self._serve, args=(fn, child_conn, cpu))
         self.process.start()
         child_conn.close()
+        if cpu is not None:
+            os.sched_setaffinity(0, self.mask - {cpu})
 
-    def _serve(self, sim: Simulation, conn) -> None:
+    def _serve(self, fn, conn, cpu: int | None) -> None:
         self.conn.close()  # the parent's end, inherited at fork
+        if cpu is not None:
+            os.sched_setaffinity(0, {cpu})
         try:
             while True:
-                params, ids = conn.recv()
+                args = conn.recv()
                 try:
-                    reply = sim._train_fair(params, ids)
+                    reply = (True, fn(*args))
                 except Exception:  # reported to the parent, which raises it
-                    reply = traceback.format_exc()
+                    reply = (False, traceback.format_exc())
                 conn.send(reply)
         except (EOFError, BrokenPipeError):
             return
 
-    def submit(self, params: np.ndarray, ids: list[int]) -> None:
-        self.conn.send((params, ids))
+    def submit(self, *args) -> None:
+        self.conn.send(args)
 
-    def result(self) -> np.ndarray:
+    def result(self):
         try:
-            reply = self.conn.recv()
+            ok, value = self.conn.recv()
         except EOFError:
             self.process.join()
-            raise RuntimeError(f"training worker exited with code "
+            raise RuntimeError(f"{self.name} exited with code "
                                f"{self.process.exitcode}") from None
-        if isinstance(reply, str):
-            raise RuntimeError(f"training worker failed:\n{reply}")
-        return reply
+        if not ok:
+            raise RuntimeError(f"{self.name} failed:\n{value}")
+        return value
 
     def close(self) -> None:
-        self.conn.close()
-        self.process.join()
+        try:
+            self.conn.close()
+            self.process.join()
+        finally:
+            os.sched_setaffinity(0, self.mask)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -558,6 +582,40 @@ class DLGCell:
     source: str = "simulated"
 
 
+def _solve_instance(cfg: DLGExperimentConfig,
+                    seq: np.random.SeedSequence) -> list[float | None]:
+    """Draw one grid instance from its own seed sequence and attack it in
+    every cell, in (noise variance, prune rate) order: the reconstruction
+    MSE per cell, or None where the attack diverged."""
+    model = cfg.model
+    d = param_count(model)
+    rng = np.random.default_rng(seq)
+    params = init_params(model, _seed_int(seq.spawn(1)[0]))
+    features = rng.uniform(0.0, 1.0, (cfg.batch_samples, cfg.input_dim))
+    labels = rng.integers(0, cfg.num_classes, cfg.batch_samples)
+    raw = Dataset(features, labels, cfg.num_classes)
+    gradient = backward(params, model, raw)
+    noise_direction = rng.standard_normal(d)
+    masks = {pr: rng.choice(d, size=int(round(pr * d)), replace=False)
+             for pr in cfg.prune_rates}
+    dlg_seed = _seed_int(seq.spawn(2)[1])
+
+    mses: list[float | None] = []
+    for nv in cfg.noise_variances:
+        for pr in cfg.prune_rates:
+            observed = gradient + np.sqrt(nv) * noise_direction
+            observed[masks[pr]] = 0.0
+            try:
+                rec = dlg_reconstruct(
+                    model, params, observed,
+                    (cfg.batch_samples, cfg.input_dim), cfg.iterations, dlg_seed)
+            except ReconstructionDivergedError:
+                mses.append(None)
+                continue
+            mses.append(reconstruction_mse(raw, rec))
+    return mses
+
+
 def run_dlg_experiment(cfg: DLGExperimentConfig) -> list[DLGCell]:
     """Reconstruction MSE per (noise variance, prune rate) cell.
 
@@ -565,48 +623,38 @@ def run_dlg_experiment(cfg: DLGExperimentConfig) -> list[DLGCell]:
     is shared across all cells (common random numbers), so cells differ only
     by the transform strengths. A cell is defended when its median MSE
     exceeds DEFENDED_MSE_THRESHOLD.
+
+    Instances are independent, each seeded only from its own SeedSequence.
+    Where _can_fork allows and there are at least two instances, one forked
+    worker solves the second half of them while this process solves the
+    first; the results are merged in instance order, so every cell's MSEs,
+    median and diverged count are bitwise those of one process. The worker
+    is joined, and this process's CPU mask restored, before this returns or
+    raises.
     """
-    model = cfg.model
-    d = param_count(model)
-    root = np.random.SeedSequence(cfg.seed)
-    instance_seqs = root.spawn(cfg.instances)
+    instance_seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.instances)
 
-    mses: dict[tuple[float, float], list[float]] = {
-        (nv, pr): [] for nv in cfg.noise_variances for pr in cfg.prune_rates}
-    diverged: dict[tuple[float, float], int] = {key: 0 for key in mses}
+    def solve(seqs):
+        return [_solve_instance(cfg, seq) for seq in seqs]
 
-    for seq in instance_seqs:
-        rng = np.random.default_rng(seq)
-        params = init_params(model, _seed_int(seq.spawn(1)[0]))
-        features = rng.uniform(0.0, 1.0, (cfg.batch_samples, cfg.input_dim))
-        labels = rng.integers(0, cfg.num_classes, cfg.batch_samples)
-        raw = Dataset(features, labels, cfg.num_classes)
-        gradient = backward(params, model, raw)
-        noise_direction = rng.standard_normal(d)
-        masks = {pr: rng.choice(d, size=int(round(pr * d)), replace=False)
-                 for pr in cfg.prune_rates}
-        dlg_seed = _seed_int(seq.spawn(2)[1])
+    if cfg.instances >= 2 and _can_fork():
+        half = cfg.instances // 2
+        worker = _ForkedWorker("leakage grid worker", solve)
+        try:
+            worker.submit(instance_seqs[half:])
+            results = solve(instance_seqs[:half]) + worker.result()
+        finally:
+            worker.close()
+    else:
+        results = solve(instance_seqs)
 
-        for nv in cfg.noise_variances:
-            for pr in cfg.prune_rates:
-                observed = gradient + np.sqrt(nv) * noise_direction
-                observed[masks[pr]] = 0.0
-                try:
-                    rec = dlg_reconstruct(
-                        model, params, observed,
-                        (cfg.batch_samples, cfg.input_dim), cfg.iterations, dlg_seed)
-                except ReconstructionDivergedError:
-                    diverged[(nv, pr)] += 1
-                    continue
-                mses[(nv, pr)].append(reconstruction_mse(raw, rec))
-
+    keys = [(nv, pr) for nv in cfg.noise_variances for pr in cfg.prune_rates]
     cells = []
-    for nv in cfg.noise_variances:
-        for pr in cfg.prune_rates:
-            vals = mses[(nv, pr)]
-            median = float(np.median(vals)) if vals else float("nan")
-            cells.append(DLGCell(
-                noise_variance=nv, prune_rate=pr, median_mse=median,
-                defended=bool(median > DEFENDED_MSE_THRESHOLD),
-                instances=len(vals), diverged=diverged[(nv, pr)]))
+    for (nv, pr), column in zip(keys, zip(*results)):
+        vals = [mse for mse in column if mse is not None]
+        median = float(np.median(vals)) if vals else float("nan")
+        cells.append(DLGCell(
+            noise_variance=nv, prune_rate=pr, median_mse=median,
+            defended=bool(median > DEFENDED_MSE_THRESHOLD),
+            instances=len(vals), diverged=len(column) - len(vals)))
     return cells

@@ -19,10 +19,11 @@ from fedaudit.data import generate_synthetic, partition, PartitionSpec
 from fedaudit.defense import AuditMatrix, audit_peer_update, contribution_step
 from fedaudit.model import (ModelConfig, epoch_permutations, init_params, param_count,
                             train_clients)
-from fedaudit.privacy import PrivacyConfig
-from fedaudit.reporting import result_json_text, rounds_csv_text
+from fedaudit import simulator
+from fedaudit.privacy import PrivacyConfig, ReconstructionDivergedError
+from fedaudit.reporting import dlg_csv_text, dlg_json_text, result_json_text, rounds_csv_text
 from fedaudit.scenarios import standard_config
-from fedaudit.simulator import (DLGExperimentConfig, Simulation, _TrainingWorker,
+from fedaudit.simulator import (DLGExperimentConfig, Simulation, _ForkedWorker,
                                 comm_cost, run_dlg_experiment, run_experiment,
                                 sweep_experiment)
 
@@ -471,12 +472,12 @@ def cpus(monkeypatch):
 def submits(monkeypatch):
     """The fair client ids sent to the training worker, one list per round."""
     sent = []
-    submit = _TrainingWorker.submit
+    submit = _ForkedWorker.submit
 
     def record(self, params, ids):
         sent.append(list(ids))
         return submit(self, params, ids)
-    monkeypatch.setattr(_TrainingWorker, "submit", record)
+    monkeypatch.setattr(_ForkedWorker, "submit", record)
     return sent
 
 
@@ -570,3 +571,170 @@ class TestTrainingWorker:
             run_experiment(standard_config(fair=4, plain=1, seed=0, rounds=3))
         assert multiprocessing.active_children() == []
 
+
+@pytest.fixture
+def pins(monkeypatch):
+    """The CPU masks this process sets on itself, in order; each is still
+    applied, so the kernel's mask can be checked afterwards."""
+    masks = []
+    parent = os.getpid()
+    set_mask = os.sched_setaffinity
+
+    def record(pid, mask):
+        if pid == 0 and os.getpid() == parent:
+            masks.append(set(mask))
+        set_mask(pid, mask)
+    monkeypatch.setattr(os, "sched_setaffinity", record)
+    return masks
+
+
+def expected_pins(kernel_mask):
+    """The parent's masks over one split: the CPUs left by the worker's one,
+    then the original mask restored (only the restore on a one-CPU mask)."""
+    if len(kernel_mask) < 2:
+        return [kernel_mask]
+    return [kernel_mask - {max(kernel_mask)}, kernel_mask]
+
+
+class TestCpuPinning:
+    def test_worker_and_parent_run_on_disjoint_cpus(self):
+        kernel_mask = os.sched_getaffinity(0)
+        worker = _ForkedWorker("test worker", lambda: os.sched_getaffinity(0))
+        try:
+            worker.submit()
+            in_worker = worker.result()
+            in_parent = os.sched_getaffinity(0)
+        finally:
+            worker.close()
+        assert os.sched_getaffinity(0) == kernel_mask
+        if len(kernel_mask) >= 2:
+            assert in_worker == {max(kernel_mask)}
+            assert in_parent == kernel_mask - in_worker
+        else:
+            assert in_worker == in_parent == kernel_mask
+
+    @pytest.mark.parametrize("ending", ["return", "halt", "raise"])
+    def test_mask_restored_after_training_split(self, cpus, pins, ending):
+        kernel_mask = os.sched_getaffinity(0)
+        # CPU 4095 does not exist here: pinning must use the kernel's mask,
+        # not the faked one
+        cpus({0, 4095})
+        if ending == "halt":
+            # the cosine defense removes every client in round 0; round 1 halts
+            assert run_experiment(tiny_config(
+                defense=DefenseSettings(kind="rffl", rffl_threshold=2.0),
+                rounds=5)).halted_early
+        else:
+            sim = Simulation(standard_config(fair=4, plain=1, seed=0, rounds=3))
+            if ending == "raise":
+                sim._aggregate = lambda uploads, active: 1 / 0
+                with pytest.raises(ZeroDivisionError):
+                    sim.run()
+            else:
+                sim.run()
+        assert pins == expected_pins(kernel_mask)
+        assert simulator._cpu_mask(0) == kernel_mask
+        assert multiprocessing.active_children() == []
+
+
+def tiny_grid(instances):
+    return DLGExperimentConfig(noise_variances=(0.0, 1e-2), prune_rates=(0.0, 0.5),
+                               instances=instances, iterations=40, input_dim=4,
+                               num_classes=2, seed=3)
+
+
+class TestGridWorker:
+    @pytest.mark.parametrize("instances", [1, 2, 3])
+    def test_split_grid_equals_serial(self, cpus, monkeypatch, instances):
+        cfg = tiny_grid(instances)
+        forks = []
+        fork = os.fork
+
+        def count_fork():
+            forks.append(1)
+            return fork()
+        monkeypatch.setattr(os, "fork", count_fork)
+        cpus({0})
+        serial = run_dlg_experiment(cfg)
+        cpus({0, 1})
+        split = run_dlg_experiment(cfg)
+        assert len(forks) == (instances >= 2)
+        assert dlg_csv_text(split) == dlg_csv_text(serial)
+        assert dlg_json_text(split) == dlg_json_text(serial)
+
+    def test_diverged_instances_in_both_halves(self, cpus, monkeypatch):
+        # 3 instances: the parent solves the first, the worker the other two
+        cfg = tiny_grid(3)
+        reconstruct = simulator.dlg_reconstruct
+        seeds = []
+
+        def record(*args):
+            seeds.append(args[-1])
+            return reconstruct(*args)
+        cpus({0})
+        monkeypatch.setattr(simulator, "dlg_reconstruct", record)
+        run_dlg_experiment(cfg)
+        first, last = seeds[0], seeds[-1]  # the first and the last instance's
+
+        def diverge(model, params, observed, shape, iterations, seed):
+            # the first instance diverges in its pruned cells, the last in all
+            if seed == last or (seed == first and (observed == 0).any()):
+                raise ReconstructionDivergedError("diverged", None)
+            return reconstruct(model, params, observed, shape, iterations, seed)
+        monkeypatch.setattr(simulator, "dlg_reconstruct", diverge)
+        serial = run_dlg_experiment(cfg)
+        cpus({0, 1})
+        split = run_dlg_experiment(cfg)
+        assert [(c.prune_rate, c.diverged, c.instances) for c in split] == [
+            (0.0, 1, 2), (0.5, 2, 1)] * 2
+        assert dlg_csv_text(split) == dlg_csv_text(serial)
+
+    def test_no_fork_for_one_instance_or_one_cpu(self, cpus, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "fork", no_fork)
+        cpus({0, 1})
+        run_dlg_experiment(tiny_grid(1))
+        cpus({0})
+        run_dlg_experiment(tiny_grid(3))
+
+    @pytest.mark.parametrize("ending", ["return", "raise"])
+    def test_no_child_left_and_mask_restored(self, cpus, pins, monkeypatch, ending):
+        kernel_mask = os.sched_getaffinity(0)
+        cpus({0, 4095})
+        if ending == "raise":
+            parent = os.getpid()
+            reconstruct = simulator.dlg_reconstruct
+
+            def fail_in_parent(*args):
+                if os.getpid() == parent:
+                    raise ValueError("parent half")
+                return reconstruct(*args)
+            monkeypatch.setattr(simulator, "dlg_reconstruct", fail_in_parent)
+            with pytest.raises(ValueError, match="parent half"):
+                run_dlg_experiment(tiny_grid(2))
+        else:
+            run_dlg_experiment(tiny_grid(2))
+        assert pins == expected_pins(kernel_mask)
+        assert simulator._cpu_mask(0) == kernel_mask
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failure, message", [
+        ("raise", "(?s)leakage grid worker failed:.*ValueError: worker half"),
+        ("exit", "leakage grid worker exited with code 3"),
+    ], ids=["raises", "exits"])
+    def test_worker_failure_raises(self, cpus, monkeypatch, failure, message):
+        cpus({0, 1})
+        parent = os.getpid()
+        reconstruct = simulator.dlg_reconstruct
+
+        def reconstruct_in_parent_only(*args):
+            if os.getpid() != parent:
+                if failure == "exit":
+                    os._exit(3)
+                raise ValueError("worker half")
+            return reconstruct(*args)
+        monkeypatch.setattr(simulator, "dlg_reconstruct", reconstruct_in_parent_only)
+        with pytest.raises(RuntimeError, match=message):
+            run_dlg_experiment(tiny_grid(2))
+        assert multiprocessing.active_children() == []
