@@ -11,17 +11,15 @@ from .config import (AggregatorConfig, ConfigError, DataConfig, DefenseSettings,
 from .data import (BadMagicError, CountMismatchError, Dataset, IdxFormatError,
                    PartitionSpec, TruncatedFileError, generate_synthetic,
                    load_idx, partition)
-from .defense import (AuditMatrix, ContributionLedger, audit_peer_update,
-                      contribution_step, cosine_contribution_step,
-                      cosine_similarity, defense_success_rate,
-                      eliminate_low_contributors, false_positive_rate)
+from .defense import (AuditMatrix, ContributionLedger, contribution_step,
+                      cosine_contribution_step, cosine_similarity,
+                      defense_success_rate, eliminate_low_contributors,
+                      false_positive_rate)
 from .model import (AdamState, ModelConfig, accuracy, adam_step, backward,
-                    backward_soft, forward_loss, init_params, param_count,
-                    sgd_step, unflatten)
+                    backward_soft, init_params, param_count)
 from .privacy import (DEFENDED_MSE_THRESHOLD, PrivacyConfig,
-                      ReconstructionDivergedError, add_gaussian_noise,
-                      apply_privacy, dlg_reconstruct, prune_update,
-                      reconstruction_mse)
+                      ReconstructionDivergedError, apply_privacy,
+                      dlg_reconstruct, reconstruction_mse)
 from .scenarios import standard_config
 from .simulator import (DLGCell, DLGExperimentConfig, ExperimentResult, RoundLog,
                         Simulation, comm_cost, run_dlg_experiment,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import ConfigError, build_section, load_config
 from .reporting import (dlg_csv_text, dlg_json_text, json_text, result_json_text,
-                        rounds_csv_text, summary_dict, sweep_csv_text, write_text)
+                        rounds_csv_text, summary_dict, sweep_csv_text)
 from .simulator import (DLGExperimentConfig, run_dlg_experiment, run_experiment,
                         sweep_experiment)
 
@@ -56,17 +56,22 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config, raw = load_config(args.config)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: cannot create the output directory "
+                              f"({exc.strerror})") from None
         if args.seed is not None:
             config = replace(config, seed=args.seed)
 
         if args.command == "run":
             result = run_experiment(config)
             if args.format == "csv":
-                write_text(out_dir / "rounds.csv", rounds_csv_text(result))
-                write_text(out_dir / "summary.json",
-                           result_json_text(result, include_rounds=False))
+                (out_dir / "rounds.csv").write_text(rounds_csv_text(result))
+                (out_dir / "summary.json").write_text(
+                    result_json_text(result, include_rounds=False))
             else:
-                write_text(out_dir / "result.json", result_json_text(result))
+                (out_dir / "result.json").write_text(result_json_text(result))
             summary = summary_dict(result)
             print(f"rounds={summary['rounds_completed']} "
                   f"final_accuracy={summary['final_accuracy']:.4f} "
@@ -79,9 +84,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("sweep: config file needs a 'sweep' object")
             rows = sweep_experiment(config, section)
             if args.format == "csv":
-                write_text(out_dir / "sweep.csv", sweep_csv_text(rows))
+                (out_dir / "sweep.csv").write_text(sweep_csv_text(rows))
             else:
-                write_text(out_dir / "sweep.json", json_text(rows))
+                (out_dir / "sweep.json").write_text(json_text(rows))
             print(f"sweep rows={len(rows)}")
             return EXIT_OK
 
@@ -91,9 +96,9 @@ def main(argv: list[str] | None = None) -> int:
             section = {**section, "seed": args.seed}
         cells = run_dlg_experiment(build_section(DLGExperimentConfig, section, "dlg"))
         if args.format == "csv":
-            write_text(out_dir / "dlg_grid.csv", dlg_csv_text(cells))
+            (out_dir / "dlg_grid.csv").write_text(dlg_csv_text(cells))
         else:
-            write_text(out_dir / "dlg_grid.json", dlg_json_text(cells))
+            (out_dir / "dlg_grid.json").write_text(dlg_json_text(cells))
         defended = sum(1 for c in cells if c.defended)
         print(f"dlg cells={len(cells)} defended={defended}")
         return EXIT_OK

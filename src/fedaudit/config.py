@@ -273,10 +273,14 @@ def load_config(path) -> tuple[ExperimentConfig, dict]:
     """Read a JSON config file; returns the config plus the raw dict (which
     may carry 'sweep'/'dlg' sections for those subcommands)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return config_from_dict(raw), raw

@@ -14,9 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
-from .model import ModelConfig, accuracy
-
 log = logging.getLogger(__name__)
 
 # Peer audits need at least two peers to mean anything; below this many active
@@ -57,20 +54,6 @@ class ContributionLedger:
         newly = {cid for cid in self.active_ids() if self.contributions[cid] < cutoff}
         self.eliminated |= newly
         return newly
-
-
-def audit_peer_update(auditor_shard: Dataset, config: ModelConfig,
-                      theta_curr: np.ndarray, theta_prev: np.ndarray,
-                      peer_update: np.ndarray) -> float:
-    """One accuracy-divergence report on the auditor's own data.
-
-    Acc(theta_curr) - Acc(theta_prev + peer_update): an upload that merely
-    echoes the allocated transition scores exactly zero.
-    """
-    if theta_curr.shape != theta_prev.shape or theta_curr.shape != peer_update.shape:
-        raise ValueError("audit parameter vectors must have matching dims")
-    return (accuracy(theta_curr, config, auditor_shard)
-            - accuracy(theta_prev + peer_update, config, auditor_shard))
 
 
 def contribution_step(c_prev: float, accdiv_reports: list[float], alpha: float) -> float:

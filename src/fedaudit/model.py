@@ -84,12 +84,6 @@ def _augmented(params: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
             for start, end, fan_in, fan_out in config.layout]
 
 
-def unflatten(params: np.ndarray, config: ModelConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat parameter vector into per-layer (W, b) views; a (T, d)
-    stack of vectors gives (T, ...)-stacked views."""
-    return [(wb[..., :-1, :], wb[..., -1, :]) for wb in _augmented(params, config)]
-
-
 def _check_batch(config: ModelConfig, batch: Dataset):
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -119,12 +113,12 @@ def _forward(layers, features: np.ndarray) -> list[np.ndarray]:
     (n, d + 1) features under (T, ...)-stacked layers give (T, n, ...): T
     parameter vectors scored on one dataset. The output layer's product is
     the caller's: accuracy and _backprop form class-first logits with
-    _class_first_logits, and forward_loss keeps the row-major
-    hidden[-1] @ layers[-1] as a reference independent of them. Every layer
-    input carries the ones column, so a layer is one matmul. A hidden layer's
-    product is written into the first columns of an array whose last column
-    is 1, and tanh runs there in place, because a second temporary of the
-    output's size costs more than the arithmetic."""
+    _class_first_logits, and the tests' row-major reference loss forms
+    hidden[-1] @ layers[-1], independent of them. Every layer input carries
+    the ones column, so a layer is one matmul. A hidden layer's product is
+    written into the first columns of an array whose last column is 1, and
+    tanh runs there in place, because a second temporary of the output's
+    size costs more than the arithmetic."""
     hidden = [features]
     for wb in layers[:-1]:
         h = hidden[-1]
@@ -238,27 +232,6 @@ def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
     return np.equal.outer(np.arange(k), labels).astype(np.float64)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def forward_loss(params: np.ndarray, config: ModelConfig,
-                 batch: Dataset) -> tuple[float, float]:
-    """Mean softmax cross-entropy and argmax accuracy on the batch. Its
-    logits are row-major on purpose: the finite-difference gradient checks
-    differentiate this loss, so it stays independent of the class-first
-    kernel that backward and accuracy use."""
-    _check_batch(config, batch)
-    layers = _augmented(params, config)
-    logits = _forward(layers, _with_ones(batch.features))[-1] @ layers[-1]
-    logp = _log_softmax(logits)
-    n = len(batch)
-    loss = -float(logp[np.arange(n), batch.labels].mean())
-    acc = float((logits.argmax(axis=1) == batch.labels).mean())
-    return loss, acc
-
-
 def _first_max_hits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Whether argmax over the class axis of class-first (k, *lead, n)
     logits equals labels, (*lead, n), without forming the index: a scan
@@ -360,13 +333,6 @@ def matching_loss(params: np.ndarray, config: ModelConfig, features: np.ndarray,
         if i > 0:
             out_bar = hidden_bar[i] * (1.0 - hidden[i][:, :-1] ** 2)
     return value, hidden_bar[0], z_bar
-
-
-def sgd_step(params: np.ndarray, gradient: np.ndarray, eta: float) -> np.ndarray:
-    """One gradient-descent step: params - eta * gradient."""
-    if params.shape != gradient.shape:
-        raise ValueError("params/gradient dimension mismatch")
-    return params - eta * gradient
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ prune stay zero even though noise was added before them.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -15,8 +14,6 @@ import numpy as np
 from .data import Dataset
 # backward_soft is not called here; perfbench/spans.py times it under this name
 from .model import ModelConfig, backward_soft, matching_loss, param_count  # noqa: F401
-
-log = logging.getLogger(__name__)
 
 # Reconstruction MSE above this counts as a defended leakage attempt.
 DEFENDED_MSE_THRESHOLD = 1.49
@@ -60,33 +57,19 @@ class ReconstructionDivergedError(RuntimeError):
         self.last_batch = last_batch
 
 
-def add_gaussian_noise(update: np.ndarray, noise_variance: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Add i.i.d. N(0, noise_variance) noise per coordinate."""
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be >= 0")
-    if noise_variance == 0:
-        return update.copy()
-    return update + rng.normal(0.0, np.sqrt(noise_variance), update.shape)
-
-
-def prune_update(update: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Zero round(rate * d) uniformly chosen coordinates; the rest pass
-    unchanged."""
-    if not 0 <= rate < 1:
-        raise ValueError("prune rate must lie in [0, 1)")
-    out = update.copy()
-    k = int(round(rate * update.shape[0]))
+def apply_privacy(update: np.ndarray, config: PrivacyConfig,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The full upload transform, as a new array: i.i.d. N(0, noise_variance)
+    noise per coordinate, then round(prune_rate * d) uniformly chosen
+    coordinates set to zero."""
+    if config.noise_variance:
+        out = update + rng.normal(0.0, np.sqrt(config.noise_variance), update.shape)
+    else:
+        out = update.copy()
+    k = int(round(config.prune_rate * update.shape[0]))
     if k:
         out[rng.choice(update.shape[0], size=k, replace=False)] = 0.0
     return out
-
-
-def apply_privacy(update: np.ndarray, config: PrivacyConfig,
-                  rng: np.random.Generator) -> np.ndarray:
-    """The full upload transform: Gaussian noise, then prune."""
-    noised = add_gaussian_noise(update, config.noise_variance, rng)
-    return prune_update(noised, config.prune_rate, rng)
 
 
 def reconstruction_mse(raw: Dataset, reconstructed: Dataset) -> float:

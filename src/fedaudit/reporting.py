@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from pathlib import Path
 
 from .privacy import (DEFENDED_MSE_THRESHOLD, PUBLISHED_MSE, PUBLISHED_NOISE_LEVELS,
                       PUBLISHED_PRUNE_RATES, PUBLISHED_SOTERIA_MSE)
@@ -124,8 +123,3 @@ def _cell(value) -> str:
     if value is None:
         return ""
     return str(value)
-
-
-def write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)

@@ -1,0 +1,45 @@
+"""Test references that no run calls: the row-major loss the
+finite-difference checks differentiate, and the one-pair form of the peer
+audit report that the simulator computes in one stacked accuracy pass per
+auditor."""
+
+import numpy as np
+
+from fedaudit.data import Dataset
+from fedaudit.model import (ModelConfig, _augmented, _check_batch, _forward,
+                            _with_ones, accuracy)
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def forward_loss(params: np.ndarray, config: ModelConfig,
+                 batch: Dataset) -> tuple[float, float]:
+    """Mean softmax cross-entropy and argmax accuracy on the batch. Its
+    logits are row-major on purpose: the finite-difference gradient checks
+    differentiate this loss, so it stays independent of the class-first
+    kernel that backward and accuracy use."""
+    _check_batch(config, batch)
+    layers = _augmented(params, config)
+    logits = _forward(layers, _with_ones(batch.features))[-1] @ layers[-1]
+    logp = _log_softmax(logits)
+    n = len(batch)
+    loss = -float(logp[np.arange(n), batch.labels].mean())
+    acc = float((logits.argmax(axis=1) == batch.labels).mean())
+    return loss, acc
+
+
+def audit_peer_update(auditor_shard: Dataset, config: ModelConfig,
+                      theta_curr: np.ndarray, theta_prev: np.ndarray,
+                      peer_update: np.ndarray) -> float:
+    """One accuracy-divergence report on the auditor's own data.
+
+    Acc(theta_curr) - Acc(theta_prev + peer_update): an upload that merely
+    echoes the allocated transition scores exactly zero.
+    """
+    if theta_curr.shape != theta_prev.shape or theta_curr.shape != peer_update.shape:
+        raise ValueError("audit parameter vectors must have matching dims")
+    return (accuracy(theta_curr, config, auditor_shard)
+            - accuracy(theta_prev + peer_update, config, auditor_shard))

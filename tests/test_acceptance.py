@@ -16,14 +16,14 @@ import pytest
 from fedaudit.aggregation import (coordinate_median, fedavg, signsgd_aggregate,
                                   trimmed_mean)
 from fedaudit.cli import main as cli_main
-from fedaudit.model import (ModelConfig, backward, forward_loss, init_params,
-                            param_count)
+from fedaudit.model import ModelConfig, backward, init_params, param_count
 from fedaudit.data import Dataset
 from fedaudit.privacy import DEFENDED_MSE_THRESHOLD, PrivacyConfig
 from fedaudit.reporting import rounds_csv_text
 from fedaudit.scenarios import neutrality_config, standard_config
 from fedaudit.simulator import (DLGExperimentConfig, comm_cost,
                                 run_dlg_experiment, run_experiment)
+from oracles import forward_loss
 
 SEEDS = range(5)
 

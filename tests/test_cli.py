@@ -302,3 +302,47 @@ class TestIdxBoundary:
         path = self.idx_config(tmp_path, images, labels)
         assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "config error: model.num_classes: 3 < IDX label classes 5" in capsys.readouterr().err
+
+
+class TestPaths:
+    """Unusable --config and --out paths are configuration errors (exit 1)
+    that name the path, for every subcommand; a bad --out is caught before
+    any experiment starts."""
+
+    COMMANDS = ("run", "sweep", "dlg")
+    ENTRY_POINTS = ("run_experiment", "sweep_experiment", "run_dlg_experiment")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_directory_config_exits_1(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.mkdir()
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(config) in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seed": "\xff\xfe"}')
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(config) in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unusable_out_exits_1_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                 command, out):
+        for name in self.ENTRY_POINTS:
+            monkeypatch.setattr(f"fedaudit.cli.{name}", _never_called)
+        (tmp_path / "file").write_text("")
+        payload = {**RUN_CONFIG, "sweep": {"beta": [1.75]},
+                   "dlg": {"instances": 1, "iterations": 5}}
+        config = write_config(tmp_path, payload)
+        out_dir = tmp_path / out
+        assert main([command, "--config", config, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out_dir}: ")
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("an experiment ran although --out is unusable")

@@ -7,11 +7,12 @@ import pytest
 
 from fedaudit.config import ConfigError, DefenseSettings, ExperimentConfig
 from fedaudit.data import generate_synthetic
-from fedaudit.defense import (ContributionLedger, audit_peer_update,
-                              contribution_step, cosine_contribution_step,
-                              cosine_similarity, defense_success_rate,
-                              eliminate_low_contributors, false_positive_rate)
+from fedaudit.defense import (ContributionLedger, contribution_step,
+                              cosine_contribution_step, cosine_similarity,
+                              defense_success_rate, eliminate_low_contributors,
+                              false_positive_rate)
 from fedaudit.model import ModelConfig, accuracy, init_params, param_count
+from oracles import audit_peer_update
 
 
 @pytest.fixture
@@ -24,6 +25,9 @@ def audit_world():
 
 
 class TestAudit:
+    """The one-pair report that the simulator's stacked audit is checked
+    against."""
+
     def test_echoed_transition_scores_exactly_zero(self, audit_world):
         cfg, shard, theta_curr, theta_prev = audit_world
         assert audit_peer_update(shard, cfg, theta_curr, theta_prev,

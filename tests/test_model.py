@@ -8,9 +8,9 @@ import pytest
 from fedaudit.data import Dataset, generate_synthetic
 from fedaudit.model import (AdamState, ModelConfig, _augmented, _backprop, _class_sum,
                             _forward, _grads, _softmax, _with_ones, accuracy, adam_step,
-                            backward, backward_soft, epoch_permutations, forward_loss,
-                            init_params, param_count, sgd_step, train_clients,
-                            unflatten)
+                            backward, backward_soft, epoch_permutations, init_params,
+                            param_count, train_clients)
+from oracles import forward_loss
 
 
 def fd_gradient(params, config, batch, step=1e-5):
@@ -62,9 +62,8 @@ class TestInit:
 
     def test_biases_zero(self):
         cfg = ModelConfig(4, (3,), 2)
-        layers = unflatten(init_params(cfg, 5), cfg)
-        for _, b in layers:
-            assert np.all(b == 0.0)
+        for wb in _augmented(init_params(cfg, 5), cfg):
+            assert np.all(wb[-1] == 0.0)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
@@ -103,7 +102,7 @@ class TestForward:
         params = init_params(cfg, 8)
         batch = small_batch(cfg, 10, seed=4)
         # independent per-sample forward pass using explicit layer math
-        layers = unflatten(params, cfg)
+        layers = [(wb[:-1], wb[-1]) for wb in _augmented(params, cfg)]
         hits = 0
         for i in range(10):
             h = batch.features[i]
@@ -145,23 +144,26 @@ class TestForward:
         assert got.tolist() == [accuracy(row, cfg, batch) for row in stack]
         assert got[0] == np.mean(batch.labels == 0)
 
-    def test_unflatten_stack_slices_equal_rows(self):
+    def test_augmented_stack_slices_equal_rows(self):
         cfg = ModelConfig(4, (5,), 3)
         stack = np.arange(3 * param_count(cfg), dtype=float).reshape(3, -1)
-        stacked = unflatten(stack, cfg)
+        stacked = _augmented(stack, cfg)
         for i, row in enumerate(stack):
-            for (w, b), (w_row, b_row) in zip(stacked, unflatten(row, cfg)):
+            for wb, wb_row in zip(stacked, _augmented(row, cfg)):
+                w, b = wb[..., :-1, :], wb[..., -1, :]
+                w_row, b_row = wb_row[:-1], wb_row[-1]
                 assert np.array_equal(w[i], w_row) and np.array_equal(b[i], b_row)
         with pytest.raises(ValueError):
-            unflatten(stack[None], cfg)
+            _augmented(stack[None], cfg)
         with pytest.raises(ValueError):
-            unflatten(stack[:, 1:], cfg)
+            _augmented(stack[:, 1:], cfg)
 
     @pytest.mark.parametrize("lead", [(), (3,)])
-    def test_unflatten_views_share_memory_with_params(self, lead):
+    def test_augmented_views_share_memory_with_params(self, lead):
         cfg = ModelConfig(4, (5,), 3)
         params = np.zeros((*lead, param_count(cfg)))
-        for w, b in unflatten(params, cfg):
+        for wb in _augmented(params, cfg):
+            w, b = wb[..., :-1, :], wb[..., -1, :]
             assert np.shares_memory(w, params) and np.shares_memory(b, params)
             w[...] = 1.0
             b[...] = 2.0
@@ -353,12 +355,11 @@ class TestKernelReductions:
 
 class TestSgd:
     def test_zero_eta_identity(self):
-        params = np.array([1.0, -2.0])
-        assert np.array_equal(sgd_step(params, np.array([5.0, 5.0]), 0.0), params)
-
-    def test_arithmetic(self):
-        out = sgd_step(np.array([1.0, 1.0]), np.array([2.0, -2.0]), 0.1)
-        assert np.allclose(out, [0.8, 1.2])
+        cfg = ModelConfig(2, (3,), 2)
+        params = init_params(cfg, 4)
+        data = generate_synthetic(2, 2, 10, 2.0, 0)
+        out = train_clients(params, cfg, data.features[None], data.labels[None], 0.0, 3)
+        assert np.array_equal(out[0], params)
 
     def test_loss_decreases_on_separable_data(self):
         cfg = ModelConfig(2, (), 2)
@@ -448,8 +449,7 @@ class TestBatchedTraining:
             batch = small_batch(cfg, 11, seed=7)
             stepped = train_clients(p0, cfg, batch.features[None],
                                     batch.labels[None], 0.1, 1)
-            assert np.array_equal(stepped[0],
-                                  sgd_step(p0, backward(p0, cfg, batch), 0.1))
+            assert np.array_equal(stepped[0], p0 - 0.1 * backward(p0, cfg, batch))
 
     def test_caller_params_unchanged(self):
         cfg = ModelConfig(4, (5,), 3)
@@ -475,7 +475,7 @@ class TestBatchedTraining:
         pytest.param(20, 6, 4, (), 5, 5, id="linear-20-6-4"),
     ])
     def test_bitwise_equals_backward_sgd_oracle(self, n, batch_size, epochs, hidden, C, k):
-        # one gather per epoch, sliced per step, against backward + sgd_step
+        # one gather per epoch, sliced per step, against backward + an SGD step
         # on each client's own minibatches; each epoch's remainder is dropped
         cfg = ModelConfig(4, hidden, k)
         p0 = init_params(cfg, 2)
@@ -495,7 +495,7 @@ class TestBatchedTraining:
                 for start in range(0, n - b + 1, b):
                     idx = perm[start:start + b]
                     mini = Dataset(feats[i][idx], labels[i][idx], k)
-                    params = sgd_step(params, backward(params, cfg, mini), 0.1)
+                    params = params - 0.1 * backward(params, cfg, mini)
             assert np.array_equal(batched[i], params)
 
     @pytest.mark.parametrize("bad", [-1, 8])

@@ -15,8 +15,7 @@ from fedaudit.model import (ModelConfig, backward, backward_soft, init_params,
 from fedaudit.privacy import (DEFENDED_MSE_THRESHOLD, PrivacyConfig,
                               PUBLISHED_MSE, PUBLISHED_NOISE_LEVELS,
                               PUBLISHED_PRUNE_RATES, ReconstructionDivergedError,
-                              add_gaussian_noise, apply_privacy, dlg_reconstruct,
-                              prune_update, reconstruction_mse)
+                              apply_privacy, dlg_reconstruct, reconstruction_mse)
 
 
 def single_sample_instance(input_dim=8, num_classes=2, seed=0):
@@ -29,47 +28,57 @@ def single_sample_instance(input_dim=8, num_classes=2, seed=0):
     return cfg, params, raw, backward(params, cfg, raw)
 
 
+def noise(variance):
+    return PrivacyConfig(noise_variance=variance)
+
+
+def prune(rate):
+    return PrivacyConfig(prune_rate=rate)
+
+
 class TestGaussianNoise:
     def test_zero_variance_identity(self):
         u = np.array([1.0, -2.0, 0.5])
-        out = add_gaussian_noise(u, 0.0, np.random.default_rng(0))
+        out = apply_privacy(u, noise(0.0), np.random.default_rng(0))
         assert np.array_equal(out, u)
         assert out is not u
 
     def test_sample_variance(self):
         u = np.zeros(10_000)
-        out = add_gaussian_noise(u, 1e-2, np.random.default_rng(1))
+        out = apply_privacy(u, noise(1e-2), np.random.default_rng(1))
         assert np.var(out) == pytest.approx(1e-2, rel=0.1)
 
     def test_deterministic_per_seed(self):
         u = np.ones(50)
-        a = add_gaussian_noise(u, 0.5, np.random.default_rng(7))
-        b = add_gaussian_noise(u, 0.5, np.random.default_rng(7))
+        a = apply_privacy(u, noise(0.5), np.random.default_rng(7))
+        b = apply_privacy(u, noise(0.5), np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
-            add_gaussian_noise(np.ones(3), -1.0, np.random.default_rng(0))
+            noise(-1.0)
 
 
 class TestPrune:
     def test_zero_rate_identity(self):
         u = np.arange(5.0)
-        assert np.array_equal(prune_update(u, 0.0, np.random.default_rng(0)), u)
+        out = apply_privacy(u, prune(0.0), np.random.default_rng(0))
+        assert np.array_equal(out, u)
+        assert out is not u
 
     def test_exact_zero_count(self):
         u = np.ones(100)
-        out = prune_update(u, 0.9, np.random.default_rng(3))
+        out = apply_privacy(u, prune(0.9), np.random.default_rng(3))
         assert int((out == 0.0).sum()) == 90
         assert np.all(out[out != 0] == 1.0)
 
     def test_half_of_ones_sums_to_half(self):
-        out = prune_update(np.ones(10), 0.5, np.random.default_rng(4))
+        out = apply_privacy(np.ones(10), prune(0.5), np.random.default_rng(4))
         assert out.sum() == 5.0
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
-            prune_update(np.ones(4), 1.0, np.random.default_rng(0))
+            prune(1.0)
 
 
 class TestComposition:
@@ -79,6 +88,17 @@ class TestComposition:
         rng = np.random.default_rng(5)
         out = apply_privacy(np.ones(100), cfg, rng)
         assert int((out == 0.0).sum()) == 50
+
+    def test_draws_noise_then_prune_mask_from_one_stream(self):
+        # the upload's bits: one normal draw of d values, then one
+        # without-replacement choice of the pruned coordinates
+        u = np.linspace(-1.0, 1.0, 40)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        out = apply_privacy(u, PrivacyConfig(noise_variance=0.3, prune_rate=0.25), rng)
+        ref = u + ref_rng.normal(0.0, np.sqrt(0.3), u.shape)
+        ref[ref_rng.choice(40, size=10, replace=False)] = 0.0
+        assert out.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

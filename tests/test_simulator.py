@@ -16,7 +16,7 @@ from fedaudit.config import (AggregatorConfig, ConfigError, DataConfig,
                              DefenseSettings, ExperimentConfig, RosterConfig,
                              config_from_dict)
 from fedaudit.data import generate_synthetic, partition, PartitionSpec
-from fedaudit.defense import AuditMatrix, audit_peer_update, contribution_step
+from fedaudit.defense import AuditMatrix, contribution_step
 from fedaudit.model import (ModelConfig, epoch_permutations, init_params, param_count,
                             train_clients)
 from fedaudit import simulator
@@ -26,6 +26,7 @@ from fedaudit.scenarios import standard_config
 from fedaudit.simulator import (DLGExperimentConfig, Simulation, _ForkedWorker,
                                 comm_cost, run_dlg_experiment, run_experiment,
                                 sweep_experiment)
+from oracles import audit_peer_update
 
 
 def single_client_update(params, cfg, shard, perms=None):
