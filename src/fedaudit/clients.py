@@ -140,11 +140,10 @@ class SelfishFreeRider(_AdamEchoRider):
 
     def __init__(self, client_id: int, public_data: Dataset,
                  pretrain_epochs: int = 5, adam_lr: float = FR_ADAM_LR,
-                 adam_decay: float = FR_ADAM_DECAY, declared_samples: int | None = None):
+                 adam_decay: float = FR_ADAM_DECAY):
         if len(public_data) == 0:
             raise ValueError("selfish free rider needs non-empty public data")
-        super().__init__(client_id, adam_lr, adam_decay,
-                         len(public_data) if declared_samples is None else declared_samples)
+        super().__init__(client_id, adam_lr, adam_decay, len(public_data))
         self.public_data = public_data
         self.pretrain_epochs = pretrain_epochs
 

@@ -13,7 +13,6 @@ import numbers
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
-from .clients import FR_ADAM_DECAY, FR_ADAM_LR
 from .model import ModelConfig
 from .privacy import PrivacyConfig
 
@@ -100,18 +99,14 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class RosterConfig:
-    """Client counts per behavior, plus free-rider knobs."""
+    """Client counts per behavior; each free rider's strength is its class's
+    constructor default (fedaudit.clients)."""
 
     fair: int = 10
     plain: int = 0
     disguised: int = 0
     anonymous: int = 0
     selfish: int = 0
-    disguise_variance: float = 1e-2
-    afr_init_variance: float = 1e-2
-    fr_adam_lr: float = FR_ADAM_LR
-    fr_adam_decay: float = FR_ADAM_DECAY
-    sfr_pretrain_epochs: int = 5
 
     @property
     def total(self) -> int:
@@ -179,16 +174,6 @@ class ExperimentConfig:
         for kind in CLIENT_KINDS:
             if getattr(self.roster, kind) < 0:
                 problems.append(f"roster.{kind}: must be >= 0")
-        if self.roster.disguise_variance < 0:
-            problems.append("roster.disguise_variance: must be >= 0")
-        if self.roster.sfr_pretrain_epochs < 0:
-            problems.append("roster.sfr_pretrain_epochs: must be >= 0")
-        if self.roster.afr_init_variance < 0:
-            problems.append("roster.afr_init_variance: must be >= 0")
-        if not self.roster.fr_adam_lr > 0:
-            problems.append("roster.fr_adam_lr: must be > 0")
-        if not 0 < self.roster.fr_adam_decay <= 1:
-            problems.append("roster.fr_adam_decay: must be in (0, 1]")
         if self.aggregator.kind not in AGGREGATOR_KINDS:
             problems.append(
                 f"aggregator.kind: {self.aggregator.kind!r} not one of {AGGREGATOR_KINDS}")

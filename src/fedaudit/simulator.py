@@ -13,6 +13,7 @@ contribution update lands in round 2.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import sys
 import threading
@@ -106,25 +107,12 @@ class Simulation:
 
         self.clients: list[Client] = [FairClient(cid, shard)
                                       for cid, shard in enumerate(shards)]
-        cid = len(self.clients)
         forged = config.data.samples_per_client
-        for _ in range(roster.plain):
-            self.clients.append(PlainFreeRider(cid, declared_samples=forged))
-            cid += 1
-        for _ in range(roster.disguised):
-            self.clients.append(DisguisedFreeRider(
-                cid, roster.disguise_variance, declared_samples=forged))
-            cid += 1
-        for _ in range(roster.anonymous):
-            self.clients.append(AnonymousFreeRider(
-                cid, roster.fr_adam_lr, roster.fr_adam_decay,
-                roster.afr_init_variance, declared_samples=forged))
-            cid += 1
-        for i in range(roster.selfish):
-            self.clients.append(SelfishFreeRider(
-                cid, public_shards[i], roster.sfr_pretrain_epochs,
-                roster.fr_adam_lr, roster.fr_adam_decay))
-            cid += 1
+        for cls in (PlainFreeRider, DisguisedFreeRider, AnonymousFreeRider):
+            for _ in range(getattr(roster, cls.kind)):
+                self.clients.append(cls(len(self.clients), declared_samples=forged))
+        for shard in public_shards:
+            self.clients.append(SelfishFreeRider(len(self.clients), shard))
 
         self.fair_ids = tuple(c.id for c in self.clients if c.kind == "fair")
         self.fr_ids = tuple(c.id for c in self.clients if c.kind != "fair")
@@ -560,8 +548,8 @@ class DLGExperimentConfig:
             values = getattr(self, name)
             if not values or len(set(values)) != len(values):
                 raise ValueError(f"{name}: must be a non-empty list of distinct values")
-        if any(nv < 0 for nv in self.noise_variances):
-            raise ValueError("noise_variances: every value must be >= 0")
+        if not all(math.isfinite(nv) and nv >= 0 for nv in self.noise_variances):
+            raise ValueError("noise_variances: every value must be a finite number >= 0")
         if not all(0 <= pr < 1 for pr in self.prune_rates):
             raise ValueError("prune_rates: every value must lie in [0, 1)")
         self.model  # built here so that ModelConfig's own checks reject bad dims

@@ -60,9 +60,6 @@ class TestRun:
         ("defense", {"beta": float("nan")}, "defense.beta"),
         ("privacy", {"noise_variance": float("inf")}, "privacy.noise_variance"),
         ("data", {"separation": float("inf")}, "data.separation"),
-        ("roster", {"fr_adam_lr": 0}, "roster.fr_adam_lr"),
-        ("roster", {"fr_adam_decay": 1.5}, "roster.fr_adam_decay"),
-        ("roster", {"afr_init_variance": -1}, "roster.afr_init_variance"),
     ])
     def test_bad_nested_field_exits_1(self, tmp_path, capsys, section, fields, path):
         payload = {**RUN_CONFIG, section: {**RUN_CONFIG[section], **fields}}
@@ -85,12 +82,15 @@ class TestRun:
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert "data.samples_per_client/holdout_samples: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section, key", [("data", "num_classes"),
-                                              ("data", "input_dim"),
-                                              ("privacy", "prune_mode")])
+    @pytest.mark.parametrize("section, key", [
+        ("data", "num_classes"), ("data", "input_dim"), ("privacy", "prune_mode"),
+        ("roster", "disguise_variance"), ("roster", "afr_init_variance"),
+        ("roster", "fr_adam_lr"), ("roster", "fr_adam_decay"),
+        ("roster", "sfr_pretrain_epochs")])
     def test_removed_keys_are_unknown_keys_exit_1(self, tmp_path, capsys, section, key):
-        # synthetic data takes the model's shape, so `data` has no dims, and
-        # pruning has one transform, so `privacy` has no mode
+        # synthetic data takes the model's shape, so `data` has no dims,
+        # pruning has one transform, so `privacy` has no mode, and each free
+        # rider's strength is its class's default, so `roster` is counts only
         payload = {**RUN_CONFIG, section: {**RUN_CONFIG[section], key: 3}}
         path = write_config(tmp_path, payload)
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1

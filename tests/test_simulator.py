@@ -1,6 +1,7 @@
 """Round orchestration: allocation, audits, elimination, aggregation, logging."""
 
 import copy
+import inspect
 import multiprocessing
 import os
 import struct
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from fedaudit.aggregation import fedavg
-from fedaudit.config import (AggregatorConfig, ConfigError, DataConfig,
+from fedaudit.clients import AnonymousFreeRider, DisguisedFreeRider, SelfishFreeRider
+from fedaudit.config import (CLIENT_KINDS, AggregatorConfig, ConfigError, DataConfig,
                              DefenseSettings, ExperimentConfig, RosterConfig,
                              config_from_dict)
 from fedaudit.data import generate_synthetic, partition, PartitionSpec
@@ -227,7 +229,6 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("section, name", [
         ("data", "separation"), ("data", "non_iid_concentration"),
-        ("roster", "disguise_variance"), ("roster", "afr_init_variance"),
         ("defense", "beta"), ("defense", "initial_contribution"),
         ("defense", "rffl_threshold"), ("privacy", "noise_variance")])
     def test_nan_field_rejected_from_library_code(self, section, name):
@@ -248,7 +249,7 @@ class TestConfigValidation:
         # adding or removing a knob is a declared edit of this count
         hints = get_type_hints(ExperimentConfig)
         assert sum(len(fields(hint)) if is_dataclass(hint) else 1
-                   for hint in hints.values()) == 36
+                   for hint in hints.values()) == 31
 
     def test_absent_sections_keep_the_documented_defaults(self):
         assert config_from_dict({}) == ExperimentConfig()
@@ -342,6 +343,12 @@ class TestDlgGrid:
         for cell in cells:
             assert cell.defended == (cell.median_mse > 1.49)
             assert cell.instances + cell.diverged == 3
+
+    @pytest.mark.parametrize("nv", [float("nan"), float("inf"), -1.0])
+    def test_noise_variances_must_be_finite_and_non_negative(self, nv):
+        with pytest.raises(ValueError, match="noise_variances: every value must be "
+                                             "a finite number >= 0"):
+            DLGExperimentConfig(noise_variances=(0.0, nv))
 
     @pytest.mark.parametrize("seed", [-1, 1.0, True])
     def test_seed_must_be_non_negative_integer(self, seed):
@@ -446,6 +453,25 @@ class TestAuditMatrix:
             for auditor, row in expected.entries.items():
                 assert list(entries[auditor].items()) == list(row.items())
         assert seen == targets_seen
+
+
+class TestRoster:
+    def test_simulator_builds_the_roster_in_kind_order_with_class_defaults(self):
+        cfg = standard_config(fair=2, plain=1, disguised=2, anonymous=1, selfish=2)
+        clients = Simulation(cfg).clients
+        kinds = [c.kind for c in clients]
+        assert kinds == [kind for kind in CLIENT_KINDS
+                         for _ in range(getattr(cfg.roster, kind))]
+        assert [c.id for c in clients] == list(range(len(clients)))
+        # every client carries the fair FedAvg weight, forged or real
+        assert {c.declared_samples for c in clients} == {cfg.data.samples_per_client}
+        strengths = {DisguisedFreeRider: ("noise_variance",),
+                     AnonymousFreeRider: ("adam_lr", "adam_decay", "init_noise_variance"),
+                     SelfishFreeRider: ("adam_lr", "adam_decay", "pretrain_epochs")}
+        for c in clients:
+            defaults = inspect.signature(type(c)).parameters
+            for name in strengths.get(type(c), ()):
+                assert getattr(c, name) == defaults[name].default
 
 
 class TestOtherRiderVariants:
