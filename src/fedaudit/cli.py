@@ -15,11 +15,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, build_section, load_config
+from .config import ConfigError, DLGExperimentConfig, build_section, load_config
 from .reporting import (dlg_csv_text, dlg_json_text, json_text, result_json_text,
                         rounds_csv_text, summary_dict, sweep_csv_text)
-from .simulator import (DLGExperimentConfig, run_dlg_experiment, run_experiment,
-                        sweep_experiment)
+from .simulator import run_dlg_experiment, run_experiment, sweep_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

@@ -77,8 +77,6 @@ class DisguisedFreeRider(Client):
     def __init__(self, client_id: int, noise_variance: float = 1e-2,
                  declared_samples: int = 1):
         super().__init__(client_id)
-        if noise_variance < 0:
-            raise ValueError("noise_variance must be >= 0")
         self.noise_variance = noise_variance
         self.declared_samples = declared_samples
 

@@ -1,8 +1,12 @@
 """Experiment configuration: dataclasses, JSON loading, and validation.
 
-Validation failures are collected and reported with field paths
-("defense.beta: must be >= 1") so a bad config file fails before any round
-runs.
+Each field declares its valid values once, as the rule of a `ruled` field.
+One checker, field_problems, tests a value's type and rule together: for a
+JSON section before it is built, for each swept value, for every section in
+ExperimentConfig.validate, and when ModelConfig, PrivacyConfig or
+DLGExperimentConfig is built. validate adds only the rules that relate two
+fields. Problems name field paths ("defense.beta: must be a finite number
+>= 1"), so a bad config file fails before any round runs.
 """
 
 from __future__ import annotations
@@ -11,10 +15,8 @@ import json
 import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cached_property
 from typing import get_type_hints
-
-from .model import ModelConfig
-from .privacy import PrivacyConfig
 
 AGGREGATOR_KINDS = ("fedavg", "median", "trimmed_mean", "signsgd")
 DEFENSE_KINDS = ("pass", "rffl", "none")
@@ -52,34 +54,108 @@ _FIELD_TYPES = {
 }
 
 
+def ruled(default, rule):
+    """A dataclass field (default MISSING for none) whose values must meet
+    `rule`: a tuple of choices, a bound ">= x" or "> x", or an interval such
+    as "[0, 0.5)". A tuple field's rule applies to each element."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def _rule_of(cls, name: str):
+    return cls.__dataclass_fields__[name].metadata["rule"]
+
+
+def _meets(rule, value) -> bool:
+    if isinstance(rule, tuple):
+        return value in rule
+    if rule[0] in "[(":
+        low, high = map(float, rule[1:-1].split(","))
+        return ((low <= value if rule[0] == "[" else low < value)
+                and (value <= high if rule[-1] == "]" else value < high))
+    op, bound = rule.split()
+    return value >= float(bound) if op == ">=" else value > float(bound)
+
+
+def value_problem(path: str, kind: str, rule, value) -> str | None:
+    """The problem with `value` as a field of annotation `kind` under `rule`
+    (None for no rule), named by `path`; None when there is none."""
+    test, expected = _FIELD_TYPES[kind]
+    if isinstance(rule, str):
+        expected += f" {'in ' if rule[0] in '[(' else ''}{rule}"
+    if not test(value):
+        return f"{path}: must be {expected}"
+    if rule is None or all(_meets(rule, v)
+                           for v in (value if kind.startswith("tuple[") else [value])):
+        return None
+    if isinstance(rule, tuple):
+        return f"{path}: {value!r} not one of {rule}"
+    return f"{path}: must be {expected}"
+
+
+def field_problems(cls, values: dict, prefix: str = "") -> list[str]:
+    """The value_problem of each entry of `values` (field name -> value) as
+    that field of the dataclass `cls`, named prefix + name. None passes an
+    "X | None" field, and section fields are not looked at."""
+    problems = []
+    for f in fields(cls):
+        kind = f.type.removesuffix(" | None")
+        if (f.name in values and kind in _FIELD_TYPES
+                and not (values[f.name] is None and kind != f.type)):
+            problems.append(value_problem(prefix + f.name, kind, f.metadata.get("rule"),
+                                          values[f.name]))
+    return [problem for problem in problems if problem is not None]
+
+
 def _raise_problems(problems: list[str]) -> None:
     if problems:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+        raise ConfigError("\n  ".join(problems))
 
 
-def _type_problems(annotations: dict[str, str], raw: dict, prefix: str) -> list[str]:
-    problems = []
-    for name, annotation in annotations.items():
-        if name not in raw:
-            continue
-        value, kind = raw[name], annotation.removesuffix(" | None")
-        if value is None and kind != annotation:
-            continue
-        test, expected = _FIELD_TYPES.get(kind, (None, None))
-        if test is not None and not test(value):
-            problems.append(f"{prefix}{name}: must be {expected}")
-    return problems
+def _check_fields(section) -> None:
+    """Raise on any field of a library-built section that breaks its rule."""
+    _raise_problems(field_problems(type(section), vars(section)))
 
 
-def check_types(annotations: dict[str, str], raw: dict, path: str) -> None:
-    """Reject raw JSON values that do not match their key's annotation
-    ("X | None" also admits null), naming each field path, so no constructor
-    or range check ever compares a string or a list."""
-    _raise_problems(_type_problems(annotations, raw, f"{path}."))
+@dataclass(frozen=True)
+class ModelConfig:
+    """Classifier shape: input width, hidden widths (may be empty), class count."""
+
+    input_dim: int = ruled(MISSING, ">= 1")
+    hidden_dims: tuple[int, ...] = ruled((), ">= 1")
+    num_classes: int = ruled(2, ">= 2")
+
+    def __post_init__(self):
+        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        _check_fields(self)
+
+    @property
+    def layer_dims(self) -> tuple[int, ...]:
+        return (self.input_dim, *self.hidden_dims, self.num_classes)
+
+    @cached_property
+    def layout(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Per layer (start, end, fan_in, fan_out) in the flat parameter
+        vector, whose slice holds W row-major then b; computed once, since
+        the layer views are taken in every training step and audit."""
+        cuts = []
+        offset = 0
+        dims = self.layer_dims
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            end = offset + (fan_in + 1) * fan_out
+            cuts.append((offset, end, fan_in, fan_out))
+            offset = end
+        return tuple(cuts)
 
 
-def _field_types(cls) -> dict[str, str]:
-    return {f.name: f.type for f in fields(cls)}
+@dataclass(frozen=True)
+class PrivacyConfig:
+    """Gaussian noise variance and prune rate applied to every upload."""
+
+    noise_variance: float = ruled(0.0, ">= 0")
+    prune_rate: float = ruled(0.0, "[0, 1)")
+
+    def __post_init__(self):
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -87,12 +163,12 @@ class DataConfig:
     """Where the samples come from; synthetic data takes the model's shape
     (model.input_dim features, model.num_classes classes)."""
 
-    source: str = "synthetic"
-    separation: float = 3.0
-    samples_per_client: int = 25
-    holdout_samples: int = 500
-    mode: str = "iid"
-    non_iid_concentration: float = 0.5
+    source: str = ruled("synthetic", DATA_SOURCES)
+    separation: float = ruled(3.0, "> 0")
+    samples_per_client: int = ruled(25, ">= 1")
+    holdout_samples: int = ruled(500, ">= 1")
+    mode: str = ruled("iid", ("iid", "non_iid"))
+    non_iid_concentration: float = ruled(0.5, "> 0")
     images_path: str | None = None
     labels_path: str | None = None
 
@@ -102,11 +178,11 @@ class RosterConfig:
     """Client counts per behavior; each free rider's strength is its class's
     constructor default (fedaudit.clients)."""
 
-    fair: int = 10
-    plain: int = 0
-    disguised: int = 0
-    anonymous: int = 0
-    selfish: int = 0
+    fair: int = ruled(10, ">= 0")
+    plain: int = ruled(0, ">= 0")
+    disguised: int = ruled(0, ">= 0")
+    anonymous: int = ruled(0, ">= 0")
+    selfish: int = ruled(0, ">= 0")
 
     @property
     def total(self) -> int:
@@ -115,20 +191,17 @@ class RosterConfig:
 
 @dataclass(frozen=True)
 class AggregatorConfig:
-    kind: str = "fedavg"
-    trim_fraction: float = 0.1
+    kind: str = ruled("fedavg", AGGREGATOR_KINDS)
 
 
 @dataclass(frozen=True)
 class DefenseSettings:
     """Flat defense block; which fields apply depends on `kind`."""
 
-    kind: str = "pass"
-    alpha: float = 0.95
-    beta: float = 1.75
+    kind: str = ruled("pass", DEFENSE_KINDS)
+    alpha: float = ruled(0.95, "[0, 1]")
+    beta: float = ruled(1.75, ">= 1")
     initial_contribution: float | None = None
-    threshold_mode: str = "current"
-    rffl_threshold: float | None = None
 
 
 @dataclass(frozen=True)
@@ -136,11 +209,11 @@ class ExperimentConfig:
     """Everything one experiment run needs; defaults follow the reference
     setting (eta 0.1, 200 rounds, alpha 0.95, beta 1.75, prune 0.9, noise 1e-2)."""
 
-    seed: int = 0
-    rounds: int = 200
-    eta: float = 0.1
-    local_epochs: int = 1
-    local_batch_size: int | None = None  # None = full batch
+    seed: int = ruled(0, ">= 0")
+    rounds: int = ruled(200, ">= 1")
+    eta: float = ruled(0.1, "> 0")
+    local_epochs: int = ruled(1, ">= 0")
+    local_batch_size: int | None = ruled(None, ">= 1")  # None = full batch
     model: ModelConfig = field(default_factory=lambda: ModelConfig(12, (), 4))
     data: DataConfig = field(default_factory=DataConfig)
     roster: RosterConfig = field(default_factory=RosterConfig)
@@ -149,50 +222,21 @@ class ExperimentConfig:
     privacy: PrivacyConfig = field(default_factory=lambda: PrivacyConfig(1e-2, 0.9))
 
     def validate(self) -> None:
-        # every field, the sections' too, must first pass the JSON boundary's
-        # type check: no range check below then compares a string or a NaN
+        """Every field's own rule, the sections' too; then, on values that
+        passed them, the rules that relate two fields."""
         sections = [("", self)] + [(f"{f.name}.", getattr(self, f.name))
                                    for f in fields(self)
                                    if is_dataclass(getattr(self, f.name))]
         _raise_problems([problem for prefix, section in sections
-                         for problem in _type_problems(_field_types(section),
-                                                       vars(section), prefix)])
+                         for problem in field_problems(type(section), vars(section),
+                                                       prefix)])
         problems: list[str] = []
-        for name, minimum in (("seed", 0), ("rounds", 1), ("local_epochs", 0)):
-            if getattr(self, name) < minimum:
-                problems.append(f"{name}: must be an integer >= {minimum}")
-        if not self.eta > 0:
-            problems.append("eta: must be a finite number > 0")
-        if self.local_batch_size is not None:
-            if self.local_batch_size < 1:
-                problems.append(
-                    "local_batch_size: must be an integer >= 1 (or null for full batch)")
-            elif self.local_batch_size > self.data.samples_per_client:
-                problems.append("local_batch_size: cannot exceed data.samples_per_client")
+        if (self.local_batch_size is not None
+                and self.local_batch_size > self.data.samples_per_client):
+            problems.append("local_batch_size: cannot exceed data.samples_per_client")
         if self.roster.total < 1:
             problems.append("roster: at least one client required")
-        for kind in CLIENT_KINDS:
-            if getattr(self.roster, kind) < 0:
-                problems.append(f"roster.{kind}: must be >= 0")
-        if self.aggregator.kind not in AGGREGATOR_KINDS:
-            problems.append(
-                f"aggregator.kind: {self.aggregator.kind!r} not one of {AGGREGATOR_KINDS}")
-        if not 0 <= self.aggregator.trim_fraction < 0.5:
-            problems.append("aggregator.trim_fraction: must lie in [0, 0.5)")
-        if self.defense.kind not in DEFENSE_KINDS:
-            problems.append(
-                f"defense.kind: {self.defense.kind!r} not one of {DEFENSE_KINDS}")
-        if not 0 <= self.defense.alpha <= 1:
-            problems.append("defense.alpha: must lie in [0, 1]")
-        if self.defense.beta < 1:
-            problems.append("defense.beta: must be >= 1")
-        if self.defense.threshold_mode not in ("current", "initial"):
-            problems.append("defense.threshold_mode: must be 'current' or 'initial'")
-        if self.data.source not in DATA_SOURCES:
-            problems.append(f"data.source: {self.data.source!r} not one of {DATA_SOURCES}")
         if self.data.source == "synthetic":
-            if self.data.separation <= 0:
-                problems.append("data.separation: must be > 0")
             data_clients = self.roster.fair + self.roster.selfish
             if (data_clients * self.data.samples_per_client + self.data.holdout_samples
                     < self.model.num_classes):
@@ -200,39 +244,57 @@ class ExperimentConfig:
                     "data.samples_per_client/holdout_samples: the synthetic pool, "
                     "(roster.fair + roster.selfish) * samples_per_client + "
                     "holdout_samples, must be >= model.num_classes")
-        else:
-            if not self.data.images_path or not self.data.labels_path:
-                problems.append("data.images_path/labels_path: required for source 'idx'")
-        if self.data.samples_per_client < 1:
-            problems.append("data.samples_per_client: must be >= 1")
-        if self.data.holdout_samples < 1:
-            problems.append("data.holdout_samples: must be >= 1")
-        if self.data.mode not in ("iid", "non_iid"):
-            problems.append("data.mode: must be 'iid' or 'non_iid'")
-        if self.data.non_iid_concentration <= 0:
-            problems.append("data.non_iid_concentration: must be > 0")
+        elif not self.data.images_path or not self.data.labels_path:
+            problems.append("data.images_path/labels_path: required for source 'idx'")
         _raise_problems(problems)
+
+
+@dataclass(frozen=True)
+class DLGExperimentConfig:
+    """Grid evaluation of the leakage attack under noise/prune settings; each
+    grid value meets the rule of the PrivacyConfig field it stands for, and
+    the model shape ModelConfig's."""
+
+    noise_variances: tuple[float, ...] = ruled((0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1),
+                                               _rule_of(PrivacyConfig, "noise_variance"))
+    prune_rates: tuple[float, ...] = ruled((0.0, 0.9), _rule_of(PrivacyConfig, "prune_rate"))
+    instances: int = ruled(10, ">= 1")
+    iterations: int = ruled(300, ">= 1")
+    batch_samples: int = ruled(1, ">= 1")
+    input_dim: int = ruled(8, _rule_of(ModelConfig, "input_dim"))
+    hidden_dims: tuple[int, ...] = ruled((), _rule_of(ModelConfig, "hidden_dims"))
+    num_classes: int = ruled(2, _rule_of(ModelConfig, "num_classes"))
+    seed: int = ruled(0, ">= 0")
+
+    def __post_init__(self):
+        _check_fields(self)
+        for name in ("noise_variances", "prune_rates"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{name}: must be a non-empty list of distinct values")
+
+    @cached_property
+    def model(self) -> ModelConfig:
+        return ModelConfig(self.input_dim, self.hidden_dims, self.num_classes)
 
 
 def build_section(cls, raw: dict, path: str):
     """Build the dataclass `cls` from one JSON object: unknown keys, missing
-    fields without a default and mistyped values are rejected, lists become
-    tuples for tuple fields, and the constructor's own checks ("seed: must
-    be ...") gain the path prefix."""
+    fields without a default, and values that break their field's type or
+    rule are rejected, lists become tuples, and the constructor's own checks
+    ("noise_variances: must be ...") gain the path prefix."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    annotations = _field_types(cls)
-    unknown = set(raw) - set(annotations)
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     _raise_problems([f"{path}.{f.name}: required" for f in fields(cls)
                      if f.name not in raw and f.default is MISSING
                      and f.default_factory is MISSING])
-    check_types(annotations, raw, path)
-    kwargs = {name: tuple(value) if annotations[name].startswith("tuple[") else value
-              for name, value in raw.items()}
+    _raise_problems(field_problems(cls, raw, f"{path}."))
     try:
-        return cls(**kwargs)
+        return cls(**{name: tuple(value) if isinstance(value, list) else value
+                      for name, value in raw.items()})
     except ValueError as exc:
         raise ConfigError(f"{path}.{exc}") from exc
 

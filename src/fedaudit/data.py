@@ -71,16 +71,6 @@ class PartitionSpec:
     non_iid_concentration: float = 0.5
     seed: int = 0
 
-    def __post_init__(self):
-        if self.num_clients < 1:
-            raise ValueError("num_clients must be >= 1")
-        if self.samples_per_client < 1:
-            raise ValueError("samples_per_client must be >= 1")
-        if self.mode not in ("iid", "non_iid"):
-            raise ValueError(f"unknown partition mode {self.mode!r}")
-        if self.non_iid_concentration <= 0:
-            raise ValueError("non_iid_concentration must be > 0")
-
 
 def generate_synthetic(num_classes: int, input_dim: int, n: int, separation: float,
                        seed: int) -> Dataset:
@@ -89,14 +79,6 @@ def generate_synthetic(num_classes: int, input_dim: int, n: int, separation: flo
     Class sizes are balanced (first n % num_classes classes get one extra
     sample); sample order is shuffled. Deterministic per seed.
     """
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
-    if input_dim < 1:
-        raise ValueError("input_dim must be >= 1")
-    if n < num_classes:
-        raise ValueError("need at least one sample per class")
-    if separation <= 0:
-        raise ValueError("separation must be > 0")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((num_classes, input_dim))
     means -= means.mean(axis=0)

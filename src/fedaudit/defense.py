@@ -78,10 +78,6 @@ def eliminate_low_contributors(ledger: ContributionLedger, beta: float,
     MIN_ACTIVE_FOR_ELIMINATION clients remain active. Elimination is
     permanent.
     """
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
-    if n_threshold < 1:
-        raise ValueError("threshold denominator must be >= 1")
     if len(ledger.active_ids()) < MIN_ACTIVE_FOR_ELIMINATION:
         return set()
     return ledger.eliminate_below(1.0 / (beta * n_threshold))

@@ -9,51 +9,15 @@ coordinate-wise).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+from .config import ModelConfig
 from .data import Dataset
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Classifier shape: input width, hidden widths (may be empty), class count."""
-
-    input_dim: int
-    hidden_dims: tuple[int, ...] = ()
-    num_classes: int = 2
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-        if self.input_dim < 1:
-            raise ValueError("input_dim: must be >= 1")
-        if self.num_classes < 2:
-            raise ValueError("num_classes: must be >= 2")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden_dims: every width must be >= 1")
-
-    @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden_dims, self.num_classes)
-
-    @cached_property
-    def layout(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Per layer (start, end, fan_in, fan_out) in the flat parameter
-        vector, whose slice holds W row-major then b; computed once, since
-        the layer views are taken in every training step and audit."""
-        cuts = []
-        offset = 0
-        dims = self.layer_dims
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            end = offset + (fan_in + 1) * fan_out
-            cuts.append((offset, end, fan_in, fan_out))
-            offset = end
-        return tuple(cuts)
 
 
 def param_count(config: ModelConfig) -> int:
@@ -347,10 +311,6 @@ class AdamState:
 
     @classmethod
     def fresh(cls, dim: int, learning_rate: float, decay: float = 1.0) -> "AdamState":
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0 < decay <= 1:
-            raise ValueError("decay must be in (0, 1]")
         return cls(np.zeros(dim), np.zeros(dim), 0, learning_rate, decay)
 
 

@@ -7,10 +7,10 @@ prune stay zero even though noise was added before them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PrivacyConfig
 from .data import Dataset
 # backward_soft is not called here; perfbench/spans.py times it under this name
 from .model import ModelConfig, backward_soft, matching_loss, param_count  # noqa: F401
@@ -26,20 +26,6 @@ PUBLISHED_MSE = (0.0325, 0.0572, 0.1866, 0.2100, 1.3378,
                  1.3856, 2.4632, 2.7602, 2.9990, 2.9257)
 PUBLISHED_SOTERIA_MSE = (0.0504, 0.0636, 0.0283, 0.0471, 0.0319,
                          0.6379, 1.0758, 1.4590, 1.6525, 1.2799)
-
-
-@dataclass(frozen=True)
-class PrivacyConfig:
-    """Gaussian noise variance and prune rate applied to every upload."""
-
-    noise_variance: float = 0.0
-    prune_rate: float = 0.0
-
-    def __post_init__(self):
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance: must be >= 0")
-        if not 0 <= self.prune_rate < 1:
-            raise ValueError("prune_rate: must lie in [0, 1)")
 
 
 def minimize(*args, **kwargs):

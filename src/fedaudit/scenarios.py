@@ -11,8 +11,8 @@ optimum visibly different from the consensus, and long local training (600
 full-batch epochs) walks all the way there. A fair upload applied alone then
 persistently hurts peers by a few accuracy points - the signature the audit
 rewards - while echo-style uploads track the announced transition and decay
-to elimination. The threshold uses the initial roster size: with the current
-active count the cutoff rises after each elimination and cascades.
+to elimination. The cutoff 1/(beta * N) counts the initial roster: counting
+the active clients would raise it after each elimination and cascade.
 
 neutrality_config - an easy well-separated IID task (4 classes, margin 5)
 used to measure the accuracy cost of the privacy transforms; the model
@@ -23,10 +23,8 @@ speed.
 
 from __future__ import annotations
 
-from .config import (AggregatorConfig, DataConfig, DefenseSettings,
-                     ExperimentConfig, RosterConfig)
-from .model import ModelConfig
-from .privacy import PrivacyConfig
+from .config import (AggregatorConfig, DataConfig, DefenseSettings, ExperimentConfig,
+                     ModelConfig, PrivacyConfig, RosterConfig)
 
 INPUT_DIM = 10
 NUM_CLASSES = 8
@@ -62,8 +60,7 @@ def standard_config(fair: int = 10, plain: int = 0, disguised: int = 0,
         roster=RosterConfig(fair=fair, plain=plain, disguised=disguised,
                             anonymous=anonymous, selfish=selfish),
         aggregator=AggregatorConfig(kind=aggregator),
-        defense=DefenseSettings(kind=defense, alpha=alpha, beta=1.75,
-                                threshold_mode="initial"),
+        defense=DefenseSettings(kind=defense, alpha=alpha, beta=1.75),
         privacy=privacy,
     )
 
@@ -87,6 +84,6 @@ def neutrality_config(*, seed: int = 0, rounds: int = 60, privacy_on: bool = Tru
         ),
         roster=RosterConfig(fair=10),
         aggregator=AggregatorConfig(kind="fedavg"),
-        defense=DefenseSettings(kind=defense, threshold_mode="initial"),
+        defense=DefenseSettings(kind=defense),
         privacy=privacy,
     )

@@ -13,27 +13,26 @@ contribution update lands in round 2.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import sys
 import threading
 import traceback
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import aggregation
 from .clients import (AnonymousFreeRider, Client, DisguisedFreeRider, FairClient,
                       PlainFreeRider, SelfishFreeRider)
-from .config import CLIENT_KINDS, ConfigError, ExperimentConfig, _is_integer, check_types
+from .config import (CLIENT_KINDS, ConfigError, DLGExperimentConfig, ExperimentConfig,
+                     field_problems, value_problem)
 from .data import (Dataset, IdxFormatError, PartitionSpec, generate_synthetic, load_idx,
                    partition)
 from .defense import (AuditMatrix, ContributionLedger, contribution_step,
                       cosine_contribution_step, defense_success_rate,
                       eliminate_low_contributors, false_positive_rate)
-from .model import (ModelConfig, accuracy, backward, epoch_permutations,
-                    init_params, param_count, train_clients)
+from .model import (accuracy, backward, epoch_permutations, init_params, param_count,
+                    train_clients)
 from .privacy import (ReconstructionDivergedError, apply_privacy, dlg_reconstruct,
                       reconstruction_mse, DEFENDED_MSE_THRESHOLD)
 
@@ -214,11 +213,10 @@ class Simulation:
             self.ledger.contributions[target_id] = contribution_step(
                 self.ledger.contributions[target_id], column, alpha)
         self.last_audit_matrix = matrix
-        if self.config.defense.threshold_mode == "initial":
-            n_thr = len(self.clients)
-        else:
-            n_thr = len(self.ledger.active_ids())
-        return eliminate_low_contributors(self.ledger, self.config.defense.beta, n_thr)
+        # the cutoff 1/(beta * N) counts the initial roster, so it does not
+        # rise as clients are eliminated
+        return eliminate_low_contributors(self.ledger, self.config.defense.beta,
+                                          len(self.clients))
 
     def _rffl_score(self, uploads: dict[int, np.ndarray], delta: np.ndarray):
         """Cosine-reputation scores against this round's aggregate; unlike the
@@ -227,22 +225,21 @@ class Simulation:
         for cid, upload in uploads.items():
             self.ledger.contributions[cid] = cosine_contribution_step(
                 self.ledger.contributions[cid], delta, upload, alpha)
-        cutoff = self.config.defense.rffl_threshold
-        if cutoff is None:
-            cutoff = 1.0 / (3.0 * len(self.clients))
-        return self.ledger.eliminate_below(cutoff)
+        return self.ledger.eliminate_below(1.0 / (3.0 * len(self.clients)))
+
+    TRIM_FRACTION = 0.1  # of the uploads trimmed_mean drops per side
 
     def _aggregate(self, uploads: dict[int, np.ndarray],
                    active: list[Client]) -> np.ndarray:
         vectors = [uploads[c.id] for c in active]
-        agg = self.config.aggregator
-        if agg.kind == "fedavg":
+        kind = self.config.aggregator.kind
+        if kind == "fedavg":
             weights = [float(c.declared_samples) for c in active]
             return aggregation.fedavg(vectors, weights)
-        if agg.kind == "median":
+        if kind == "median":
             return aggregation.coordinate_median(vectors)
-        if agg.kind == "trimmed_mean":
-            return aggregation.trimmed_mean(vectors, agg.trim_fraction)
+        if kind == "trimmed_mean":
+            return aggregation.trimmed_mean(vectors, self.TRIM_FRACTION)
         # signsgd consumes gradients; uploads are update vectors, so feed the
         # implied pseudo-gradients -delta/eta
         pseudo = [-v / self.config.eta for v in vectors]
@@ -317,6 +314,9 @@ class Simulation:
         delta = self._aggregate(uploads, active)
         self.prev_params = self.params
         self.params = self.params + delta
+        if not np.isfinite(self.params).all():
+            raise ConfigError(f"round {t}: the global parameters are no longer "
+                              f"finite (eta {cfg.eta})")
         self.alloc = delta
 
         if cfg.defense.kind == "rffl":
@@ -459,50 +459,47 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 # -- parameter sweeps ------------------------------------------------------
 
-# each swept key: the type of its list of values, and the config section and
-# field each value sets (fr_count sets the roster's one free-rider kind)
-SWEEPABLE = {"beta": ("tuple[float, ...]", "defense", "beta"),
-             "gamma": ("tuple[float, ...]", "privacy", "prune_rate"),
-             "noise_variance": ("tuple[float, ...]", "privacy", "noise_variance"),
-             "fr_count": ("tuple[int, ...]", "roster", None)}
-
-
-def _with_fr_count(config: ExperimentConfig, count: int) -> ExperimentConfig:
-    roster = config.roster
-    nonzero = [k for k in CLIENT_KINDS[1:] if getattr(roster, k) > 0]
-    if len(nonzero) != 1:
-        raise ConfigError(
-            "sweep.fr_count: roster must have exactly one free-rider kind to sweep")
-    return replace(config, roster=replace(roster, **{nonzero[0]: count}))
+# the config section and field each swept key sets; fr_count sets the
+# roster's one free-rider kind
+SWEEPABLE = {"beta": ("defense", "beta"),
+             "gamma": ("privacy", "prune_rate"),
+             "noise_variance": ("privacy", "noise_variance"),
+             "fr_count": ("roster", None)}
 
 
 def sweep_experiment(base: ExperimentConfig, sweep: dict) -> list[dict]:
     """Run the cartesian grid over any of beta / gamma / noise_variance /
-    fr_count; one result row per combination, base seed reused throughout."""
+    fr_count; one result row per combination, base seed reused throughout.
+    Each swept list must meet its field's type and rule, element by element."""
     unknown = set(sweep) - set(SWEEPABLE)
     if unknown:
         raise ConfigError(f"sweep: unknown keys {sorted(unknown)}")
     if not sweep:
         raise ConfigError("sweep: at least one swept parameter required")
-    check_types({k: kind for k, (kind, _, _) in SWEEPABLE.items()}, sweep, "sweep")
     keys = [k for k in SWEEPABLE if k in sweep]
-    for key in keys:
-        if not sweep[key]:
-            raise ConfigError(f"sweep.{key}: must be a list of at least one value")
+    targets = {key: SWEEPABLE[key] for key in keys}
+    if "fr_count" in targets:
+        riders = [k for k in CLIENT_KINDS[1:] if getattr(base.roster, k) > 0]
+        if len(riders) != 1:
+            raise ConfigError(
+                "sweep.fr_count: roster must have exactly one free-rider kind to sweep")
+        targets["fr_count"] = ("roster", riders[0])
+    for key, (section, name) in targets.items():
+        values, cls = sweep[key], type(getattr(base, section))
+        kind = cls.__dataclass_fields__[name].type
+        problem = value_problem(f"sweep.{key}", f"tuple[{kind}, ...]", None, values)
+        if problem or not values:
+            raise ConfigError(problem or f"sweep.{key}: must be a list of at least one value")
+        for value in values:
+            for problem in field_problems(cls, {name: value}, f"{section}."):
+                raise ConfigError(problem)
     plan = []  # every combination is built and validated before the first run
     for combo in itertools.product(*(sweep[k] for k in keys)):
         cfg = base
         named = dict(zip(keys, combo))
         for key, value in named.items():
-            _, section, name = SWEEPABLE[key]
-            if name is None:
-                cfg = _with_fr_count(cfg, value)
-            else:
-                try:
-                    cfg = replace(cfg, **{section: replace(getattr(cfg, section),
-                                                           **{name: value})})
-                except ValueError as exc:  # PrivacyConfig checks its ranges when built
-                    raise ConfigError(f"{section}.{exc}") from exc
+            section, name = targets[key]
+            cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
         cfg.validate()
         plan.append((named, cfg))
     rows = []
@@ -520,44 +517,6 @@ def sweep_experiment(base: ExperimentConfig, sweep: dict) -> list[dict]:
 
 
 # -- gradient-leakage evaluation -------------------------------------------
-
-@dataclass(frozen=True)
-class DLGExperimentConfig:
-    """Grid evaluation of the leakage attack under noise/prune settings."""
-
-    noise_variances: tuple[float, ...] = (0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
-    prune_rates: tuple[float, ...] = (0.0, 0.9)
-    instances: int = 10
-    iterations: int = 300
-    batch_samples: int = 1
-    input_dim: int = 8
-    hidden_dims: tuple[int, ...] = ()
-    num_classes: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.instances < 1:
-            raise ValueError("instances: must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations: must be >= 1")
-        if self.batch_samples < 1:
-            raise ValueError("batch_samples: must be >= 1")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError("seed: must be an integer >= 0")
-        for name in ("noise_variances", "prune_rates"):
-            values = getattr(self, name)
-            if not values or len(set(values)) != len(values):
-                raise ValueError(f"{name}: must be a non-empty list of distinct values")
-        if not all(math.isfinite(nv) and nv >= 0 for nv in self.noise_variances):
-            raise ValueError("noise_variances: every value must be a finite number >= 0")
-        if not all(0 <= pr < 1 for pr in self.prune_rates):
-            raise ValueError("prune_rates: every value must lie in [0, 1)")
-        self.model  # built here so that ModelConfig's own checks reject bad dims
-
-    @cached_property
-    def model(self) -> ModelConfig:
-        return ModelConfig(self.input_dim, self.hidden_dims, self.num_classes)
-
 
 @dataclass(frozen=True)
 class DLGCell:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic outputs."""
 
 import json
+import multiprocessing
 import struct
 
 import pytest
@@ -54,7 +55,7 @@ class TestRun:
         ("roster", {"fair": "2"}, "roster.fair"),
         ("defense", {"alpha": "x"}, "defense.alpha"),
         ("data", {"samples_per_client": "20"}, "data.samples_per_client"),
-        ("aggregator", {"trim_fraction": [0.1]}, "aggregator.trim_fraction"),
+        ("aggregator", {"kind": [0.1]}, "aggregator.kind"),
         ("privacy", {"noise_variance": "x"}, "privacy.noise_variance"),
         ("model", {"hidden_dims": 4}, "model.hidden_dims"),
         ("defense", {"beta": float("nan")}, "defense.beta"),
@@ -86,11 +87,14 @@ class TestRun:
         ("data", "num_classes"), ("data", "input_dim"), ("privacy", "prune_mode"),
         ("roster", "disguise_variance"), ("roster", "afr_init_variance"),
         ("roster", "fr_adam_lr"), ("roster", "fr_adam_decay"),
-        ("roster", "sfr_pretrain_epochs")])
+        ("roster", "sfr_pretrain_epochs"), ("defense", "threshold_mode"),
+        ("aggregator", "trim_fraction"), ("defense", "rffl_threshold")])
     def test_removed_keys_are_unknown_keys_exit_1(self, tmp_path, capsys, section, key):
         # synthetic data takes the model's shape, so `data` has no dims,
-        # pruning has one transform, so `privacy` has no mode, and each free
-        # rider's strength is its class's default, so `roster` is counts only
+        # pruning has one transform, so `privacy` has no mode, each free
+        # rider's strength is its class's default, so `roster` is counts only,
+        # and the cutoffs and the trim are fixed, so `defense` and
+        # `aggregator` have no knobs for them
         payload = {**RUN_CONFIG, section: {**RUN_CONFIG[section], key: 3}}
         path = write_config(tmp_path, payload)
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
@@ -145,6 +149,23 @@ class TestRun:
         main(["run", "--config", path, "--out", str(out1), "--seed", "9"])
         main(["run", "--config", path, "--out", str(out2)])
         assert (out1 / "rounds.csv").read_text() != (out2 / "rounds.csv").read_text()
+
+    @pytest.mark.parametrize("overrides, round_, eta", [
+        ({"eta": 1e308}, 0, "1e+308"), ({"data": {"separation": 1e308}}, 1, "0.1")],
+        ids=["eta", "separation"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_run_exits_1_naming_the_round(self, tmp_path, capsys,
+                                                      overrides, round_, eta):
+        # the trained parameters overflow; no output may look like a result
+        path = write_config(tmp_path, {"rounds": 3, "roster": {"fair": 3, "plain": 1},
+                                       **overrides})
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        assert (f"config error: round {round_}: the global parameters are no longer "
+                f"finite (eta {eta})") in capsys.readouterr().err
+        assert not (out / "rounds.csv").exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestUsageErrors:
@@ -245,7 +266,7 @@ class TestDlg:
     def test_dlg_zero_iterations_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, {**RUN_CONFIG, "dlg": {"iterations": 0}})
         assert main(["dlg", "--config", path, "--out", str(tmp_path / "o")]) == 1
-        assert "dlg.iterations: must be >= 1" in capsys.readouterr().err
+        assert "dlg.iterations: must be an integer >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key", [
         ({"num_classes": 1}, "num_classes"),

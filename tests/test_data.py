@@ -51,12 +51,6 @@ class TestSynthetic:
         params = train_clients(params, cfg, ds.features[None], ds.labels[None], 0.1, 100)[0]
         assert accuracy(params, cfg, ds) >= 0.99
 
-    def test_invalid_counts_rejected(self):
-        with pytest.raises(ValueError):
-            generate_synthetic(1, 2, 10, 1.0, 0)
-        with pytest.raises(ValueError):
-            generate_synthetic(5, 2, 3, 1.0, 0)
-
 
 class TestIdx:
     def test_round_trip_two_images(self, tmp_path):
@@ -157,14 +151,6 @@ class TestPartition:
         skew_tv = mean_tv(partition(ds, PartitionSpec(8, 200, "non_iid", 0.2, 3)))
         assert iid_tv < 0.1
         assert skew_tv > iid_tv
-
-    def test_bad_spec_rejected(self):
-        with pytest.raises(ValueError):
-            PartitionSpec(0, 10)
-        with pytest.raises(ValueError):
-            PartitionSpec(2, 10, "weird")
-        with pytest.raises(ValueError):
-            PartitionSpec(2, 10, "non_iid", 0.0)
 
 
 class TestDataset:

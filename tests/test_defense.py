@@ -141,8 +141,6 @@ class TestElimination:
     def test_beta_below_one_rejected(self):
         with pytest.raises(ConfigError, match="defense.beta"):
             ExperimentConfig(defense=DefenseSettings(beta=0.5)).validate()
-        with pytest.raises(ValueError):
-            eliminate_low_contributors(ContributionLedger({0: 1.0}), 0.9, 1)
 
 
 class TestCosineReputation:

@@ -15,10 +15,13 @@ code: `PYTHONPATH=src python tests/test_golden.py --write`.
 
 import hashlib
 import json
+import struct
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedaudit.model import ModelConfig
@@ -48,6 +51,22 @@ def _hidden():
     return replace(cfg, model=ModelConfig(INPUT_DIM, (5,), NUM_CLASSES))
 
 
+def _idx(directory: Path):
+    """An IDX run from files written here from a seeded uint8 array: 1,100
+    2x5 images (INPUT_DIM pixels) whose brightness follows one of 8 labels."""
+    rng = np.random.default_rng(13)
+    labels = rng.integers(0, NUM_CLASSES, 1100)
+    images = (labels[:, None, None] * 28 + rng.integers(0, 40, (1100, 2, 5))).astype(np.uint8)
+    images_path, labels_path = directory / "images.idx", directory / "labels.idx"
+    images_path.write_bytes(struct.pack(">IIII", 0x00000803, *images.shape)
+                            + images.tobytes())
+    labels_path.write_bytes(struct.pack(">II", 0x00000801, len(labels))
+                            + labels.astype(np.uint8).tobytes())
+    cfg = _small(fair=4, plain=1, seed=13)
+    return replace(cfg, data=replace(cfg.data, source="idx", images_path=str(images_path),
+                                     labels_path=str(labels_path)))
+
+
 SIM_CASES = {
     "pass": lambda: _small(fair=4, plain=2, selfish=1, seed=1),
     "rffl": lambda: _small(fair=4, disguised=1, anonymous=1, seed=2,
@@ -61,7 +80,18 @@ SIM_CASES = {
     "single_fair": lambda: _small(fair=1, plain=2, seed=8),
     "zero_epochs": lambda: _small(fair=3, plain=1, selfish=1, seed=9,
                                   local_epochs=0, rounds=6),
+    # ten uploads: the trim drops one per side; the default cosine cutoff
+    # eliminates three fair clients
+    "trimmed_cosine": lambda: _small(fair=8, plain=2, seed=12, defense="rffl",
+                                     aggregator="trimmed_mean", privacy_on=False,
+                                     rounds=30),
+    # both plain riders fall below the cosine cutoff and the run halts
+    "halt": lambda: _small(fair=0, plain=2, seed=10, defense="rffl",
+                           privacy_on=False, rounds=30),
 }
+
+# cases built from files the test writes into a temporary directory
+FILE_CASES = {"idx": _idx}
 
 DLG_CASES = {
     "dlg_grid": lambda: DLGExperimentConfig(
@@ -89,7 +119,11 @@ def fingerprint(name: str) -> dict:
         rows = sweep_experiment(*SWEEP_CASES[name]())
         return {"sweep_csv_sha256": _sha256(sweep_csv_text(rows)),
                 "sweep_json_sha256": _sha256(json_text(rows))}
-    result = run_experiment(SIM_CASES[name]())
+    if name in FILE_CASES:
+        with tempfile.TemporaryDirectory() as directory:
+            result = run_experiment(FILE_CASES[name](Path(directory)))
+    else:
+        result = run_experiment(SIM_CASES[name]())
     # a round that eliminates the last active clients halts before its log
     eliminated_in = {cid: len(result.rounds) for cid in result.eliminated}
     eliminated_in.update((cid, log.round) for log in result.rounds
@@ -103,7 +137,10 @@ def fingerprint(name: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("name", [*SIM_CASES, *DLG_CASES, *SWEEP_CASES])
+ALL_CASES = [*SIM_CASES, *FILE_CASES, *DLG_CASES, *SWEEP_CASES]
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
 def test_matches_golden(name):
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     assert fingerprint(name) == golden
@@ -113,7 +150,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: python tests/test_golden.py --write")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for case in [*SIM_CASES, *DLG_CASES, *SWEEP_CASES]:
+    for case in ALL_CASES:
         (GOLDEN_DIR / f"{case}.json").write_text(
             json.dumps(fingerprint(case), indent=2, sort_keys=True) + "\n")
         print(f"wrote {case}")
