@@ -7,6 +7,7 @@ prune stay zero even though noise was added before them.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,11 +29,63 @@ PUBLISHED_SOTERIA_MSE = (0.0504, 0.0636, 0.0283, 0.0471, 0.0319,
                          0.6379, 1.0758, 1.4590, 1.6525, 1.2799)
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use: it is most of the time
-    `import fedaudit` would take, and only dlg_reconstruct needs it."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+class LBFGSResult(NamedTuple):
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+
+
+def minimize(fun, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+             maxiter: int) -> LBFGSResult:
+    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) on `fun(x) -> (f, gradient)`
+    over the box [lower, upper], ±inf marking a free side.
+
+    Drives scipy's compiled core, `setulb`, step for step as scipy 1.17's
+    `minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=...,
+    options={"maxiter": maxiter})` does, without that wrapper's bookkeeping
+    around each evaluation: the same x, fun, nit and nfev, bitwise (the oracle
+    test in tests/test_privacy.py holds it to that). `fun` is called once per
+    distinct point, with a fresh copy of it. The core is imported on first
+    use: scipy.optimize is most of the time `import fedaudit` would take, and
+    only dlg_reconstruct needs it.
+    """
+    from scipy.optimize._lbfgsb import setulb
+    m, pgtol, maxls, maxfun = 10, 1e-5, 20, 15000
+    factr = 2.2204460492503131e-09 / np.finfo(float).eps  # scipy's default ftol
+    n = x0.size
+    has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
+    # L-BFGS-B's bound codes: 0 free, 1 lower only, 2 both, 3 upper only
+    nbd = np.where(has_lower, np.where(has_upper, 2, 1),
+                   np.where(has_upper, 3, 0)).astype(np.int32)
+    low, up = np.where(has_lower, lower, 0.0), np.where(has_upper, upper, 0.0)
+    x = np.clip(x0, lower, upper)
+    x_eval = x.copy()
+    f_eval, g_eval = fun(x_eval.copy())
+    nfev, nit = 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    while True:
+        g = g.astype(np.float64)
+        setulb(m, x, low, up, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave, dsave,
+               maxls, ln_task)
+        if task[0] == 3:  # FG: f and g at x, evaluated only where x moved
+            if not np.array_equal(x, x_eval):
+                x_eval = x.copy()
+                f_eval, g_eval = fun(x_eval.copy())
+                nfev += 1
+            f, g = f_eval, g_eval
+        elif task[0] == 1:  # NEW_X: an iteration ended
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif nfev > maxfun:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:
+            return LBFGSResult(x, f, nit, nfev)
 
 
 class ReconstructionDivergedError(RuntimeError):
@@ -105,15 +158,16 @@ def dlg_reconstruct(config: ModelConfig, params: np.ndarray,
     def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
         val, x_grad, z_grad = matching_loss(params, config, *unpack(u), observed_gradient)
         if not math.isfinite(val):
-            # scipy's minimize lets the exception through to the caller
+            # minimize's loop has no handler, so this ends the reconstruction
             raise ReconstructionDivergedError(
                 "matching loss went non-finite during reconstruction",
                 to_batch(last_finite["u"]))
-        last_finite["u"] = u.copy()
+        last_finite["u"] = u  # minimize passes each point as a fresh copy
         return val, np.concatenate([x_grad.ravel(), z_grad.ravel()])
 
-    bounds = [(0.0, 1.0)] * (n * dim) + [(None, None)] * (n * k)
-    result = minimize(objective, u0, jac=True, method="L-BFGS-B", bounds=bounds,
-                      options={"maxiter": iterations})
+    # the features stay in [0, 1]; the label logits are free
+    lower = np.concatenate([np.zeros(n * dim), np.full(n * k, -np.inf)])
+    upper = np.concatenate([np.ones(n * dim), np.full(n * k, np.inf)])
+    result = minimize(objective, u0, lower, upper, iterations)
     u_final = result.x if np.all(np.isfinite(result.x)) else last_finite["u"]
     return to_batch(u_final)

@@ -240,10 +240,9 @@ class Simulation:
             return aggregation.coordinate_median(vectors)
         if kind == "trimmed_mean":
             return aggregation.trimmed_mean(vectors, self.TRIM_FRACTION)
-        # signsgd consumes gradients; uploads are update vectors, so feed the
-        # implied pseudo-gradients -delta/eta
-        pseudo = [-v / self.config.eta for v in vectors]
-        return aggregation.signsgd_aggregate(pseudo, self.config.eta)
+        # signsgd consumes gradients; uploads are update vectors, whose implied
+        # pseudo-gradients -delta/eta have the signs of -delta (eta > 0)
+        return aggregation.signsgd_aggregate([-v for v in vectors], self.config.eta)
 
     def _train_fair(self, params: np.ndarray, ids: list[int]) -> np.ndarray:
         """Train the fair clients `ids` as one stack (model.train_clients)
@@ -452,9 +451,35 @@ class _ForkedWorker:
             os.sched_setaffinity(0, self.mask)
 
 
+def _map_halves(name: str, fn, items: list) -> list:
+    """fn(items), where fn maps a list to a list item by item. Where _can_fork
+    allows and there are at least two items, one forked worker computes fn of
+    the second half while this process computes the first; the halves are
+    joined in item order. The worker is joined, and this process's CPU mask
+    restored, before this returns or raises."""
+    if len(items) < 2 or not _can_fork():
+        return fn(items)
+    half = len(items) // 2
+    worker = _ForkedWorker(name, fn)
+    try:
+        worker.submit(items[half:])
+        return fn(items[:half]) + worker.result()
+    finally:
+        worker.close()
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Validate, build, and run one experiment; deterministic per seed."""
     return Simulation(config).run()
+
+
+def run_experiments(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
+    """run_experiment on each config, results in input order. The runs are
+    independent, each seeded only from its config, so where _can_fork allows
+    one forked worker runs the second half of them (_map_halves), bitwise as
+    a serial loop."""
+    return _map_halves("experiment worker",
+                       lambda cfgs: [run_experiment(cfg) for cfg in cfgs], configs)
 
 
 # -- parameter sweeps ------------------------------------------------------
@@ -503,8 +528,7 @@ def sweep_experiment(base: ExperimentConfig, sweep: dict) -> list[dict]:
         cfg.validate()
         plan.append((named, cfg))
     rows = []
-    for named, cfg in plan:
-        result = run_experiment(cfg)
+    for (named, _), result in zip(plan, run_experiments([cfg for _, cfg in plan])):
         row = dict(named)
         row.update(
             dsr=result.dsr, fpr=result.fpr,
@@ -571,29 +595,14 @@ def run_dlg_experiment(cfg: DLGExperimentConfig) -> list[DLGCell]:
     by the transform strengths. A cell is defended when its median MSE
     exceeds DEFENDED_MSE_THRESHOLD.
 
-    Instances are independent, each seeded only from its own SeedSequence.
-    Where _can_fork allows and there are at least two instances, one forked
-    worker solves the second half of them while this process solves the
-    first; the results are merged in instance order, so every cell's MSEs,
-    median and diverged count are bitwise those of one process. The worker
-    is joined, and this process's CPU mask restored, before this returns or
-    raises.
+    Instances are independent, each seeded only from its own SeedSequence,
+    so where _can_fork allows one forked worker solves the second half of
+    them (_map_halves): every cell's MSEs, median and diverged count are
+    bitwise those of one process.
     """
-    instance_seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.instances)
-
-    def solve(seqs):
-        return [_solve_instance(cfg, seq) for seq in seqs]
-
-    if cfg.instances >= 2 and _can_fork():
-        half = cfg.instances // 2
-        worker = _ForkedWorker("leakage grid worker", solve)
-        try:
-            worker.submit(instance_seqs[half:])
-            results = solve(instance_seqs[:half]) + worker.result()
-        finally:
-            worker.close()
-    else:
-        results = solve(instance_seqs)
+    results = _map_halves(
+        "leakage grid worker", lambda seqs: [_solve_instance(cfg, seq) for seq in seqs],
+        np.random.SeedSequence(cfg.seed).spawn(cfg.instances))
 
     keys = [(nv, pr) for nv in cfg.noise_variances for pr in cfg.prune_rates]
     cells = []

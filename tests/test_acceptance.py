@@ -22,7 +22,7 @@ from fedaudit.privacy import DEFENDED_MSE_THRESHOLD, PrivacyConfig
 from fedaudit.reporting import rounds_csv_text
 from fedaudit.scenarios import neutrality_config, standard_config
 from fedaudit.simulator import (DLGExperimentConfig, comm_cost,
-                                run_dlg_experiment, run_experiment)
+                                run_dlg_experiment, run_experiment, run_experiments)
 from oracles import forward_loss
 
 SEEDS = range(5)
@@ -48,12 +48,10 @@ class TestCriterion1:
         scenario family tried. Fair clients therefore cross between rounds
         ~30-70 and FPR(R=100) lands near 80%.
         """
-        dsrs, fprs = [], []
-        for seed in SEEDS:
-            result = run_experiment(standard_config(fair=10, plain=5, seed=seed,
-                                                    rounds=100))
-            dsrs.append(result.dsr)
-            fprs.append(result.fpr)
+        results = run_experiments([standard_config(fair=10, plain=5, seed=seed,
+                                                   rounds=100) for seed in SEEDS])
+        dsrs = [result.dsr for result in results]
+        fprs = [result.fpr for result in results]
         dsr, fpr = float(np.mean(dsrs)), float(np.mean(fprs))
         passed = dsr == 100.0 and fpr <= 20.0
         report(1, passed, f"DSR={dsr:.1f}% (need 100), FPR={fpr:.1f}% (need <=20)")
@@ -96,19 +94,14 @@ class TestCriterion3:
         the mimics and post no more false positives than the cosine baseline.
         Horizon R=40: right after the audit defense's eliminations settle
         (every selfish FR is out by ~round 30 in this scenario)."""
-        audit_fpr, cosine_fpr, audit_dsr, cosine_dsr = [], [], [], []
-        for seed in SEEDS:
-            rp = run_experiment(standard_config(fair=10, selfish=5, seed=seed,
-                                                rounds=40))
-            rr = run_experiment(standard_config(fair=10, selfish=5, seed=seed,
-                                                rounds=40, defense="rffl",
-                                                privacy_on=False))
-            audit_fpr.append(rp.fpr)
-            cosine_fpr.append(rr.fpr)
-            audit_dsr.append(rp.dsr)
-            cosine_dsr.append(rr.dsr)
-        a_fpr, c_fpr = float(np.mean(audit_fpr)), float(np.mean(cosine_fpr))
-        a_dsr, c_dsr = float(np.mean(audit_dsr)), float(np.mean(cosine_dsr))
+        results = run_experiments([
+            cfg for seed in SEEDS for cfg in (
+                standard_config(fair=10, selfish=5, seed=seed, rounds=40),
+                standard_config(fair=10, selfish=5, seed=seed, rounds=40,
+                                defense="rffl", privacy_on=False))])
+        audit, cosine = results[::2], results[1::2]
+        a_fpr, c_fpr = (float(np.mean([r.fpr for r in rs])) for rs in (audit, cosine))
+        a_dsr, c_dsr = (float(np.mean([r.dsr for r in rs])) for rs in (audit, cosine))
         passed = a_fpr <= c_fpr and a_dsr >= 80.0
         report(3, passed, f"FPR audit={a_fpr:.1f}% <= cosine={c_fpr:.1f}%; "
                           f"DSR audit={a_dsr:.1f}% (cosine={c_dsr:.1f}%)")

@@ -240,6 +240,69 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def matching_problem(hidden, seed):
+    """A seeded leakage problem in dlg_reconstruct's form: the matching loss
+    of a batch of 1-2 samples against its own gradient (noised on seeds not
+    divisible by 3), with the features in [0, 1] and free label logits."""
+    rng = np.random.default_rng(seed)
+    n, dim, k = 1 + seed % 2, 4 + seed % 5, 2 + seed % 2
+    cfg = ModelConfig(dim, hidden, k)
+    params = init_params(cfg, seed)
+    raw = Dataset(rng.uniform(0, 1, (n, dim)), rng.integers(0, k, n), k)
+    observed = (backward(params, cfg, raw)
+                + (seed % 3) * 0.01 * rng.standard_normal(param_count(cfg)))
+    u0 = np.concatenate([rng.uniform(0, 1, n * dim), rng.standard_normal(n * k)])
+
+    def fun(u):
+        val, x_grad, z_grad = matching_loss(params, cfg, u[:n * dim].reshape(n, dim),
+                                            u[n * dim:].reshape(n, k), observed)
+        return val, np.concatenate([x_grad.ravel(), z_grad.ravel()])
+    lower = np.concatenate([np.zeros(n * dim), np.full(n * k, -np.inf)])
+    upper = np.concatenate([np.ones(n * dim), np.full(n * k, np.inf)])
+    return fun, u0, lower, upper, n * dim
+
+
+class TestMinimizeOracle:
+    """privacy.minimize drives scipy's L-BFGS-B core itself; scipy's public
+    minimize is the oracle it must match bitwise."""
+
+    @staticmethod
+    def solve_both(hidden, seed, maxiter, one_sided=False):
+        from scipy.optimize import minimize as scipy_minimize
+        fun, u0, lower, upper, features = matching_problem(hidden, seed)
+        if one_sided:  # the first feature keeps only >= 0, the second <= 1
+            lower[1], upper[0] = -np.inf, np.inf
+        ours = fedaudit.privacy.minimize(fun, u0, lower, upper, maxiter)
+        bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+                  for lo, hi in zip(lower, upper)]
+        theirs = scipy_minimize(fun, u0, jac=True, method="L-BFGS-B", bounds=bounds,
+                                options={"maxiter": maxiter})
+        assert np.array_equal(ours.x, theirs.x)
+        assert ours.fun == theirs.fun
+        assert (ours.nit, ours.nfev) == (theirs.nit, theirs.nfev)
+        return ours, features
+
+    @pytest.mark.parametrize("hidden", [(), (3,)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_converged_runs_equal_scipy(self, hidden, seed):
+        ours, _ = self.solve_both(hidden, seed, 300)
+        assert 5 < ours.nit < 300
+
+    @pytest.mark.parametrize("hidden", [(), (3,)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runs_stopped_by_maxiter_equal_scipy(self, hidden, seed):
+        ours, _ = self.solve_both(hidden, seed, 5)
+        assert ours.nit == 5
+
+    def test_run_ending_on_a_feature_bound_equals_scipy(self):
+        ours, features = self.solve_both((), 1, 300)
+        assert np.isin(ours.x[:features], (0.0, 1.0)).any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_sided_bounds_equal_scipy(self, seed):
+        self.solve_both((), seed, 300, one_sided=True)
+
+
 class TestMatchingLoss:
     """matching_loss against central differences, in the style of criterion 7."""
 

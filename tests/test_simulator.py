@@ -24,11 +24,12 @@ from fedaudit.model import (ModelConfig, epoch_permutations, init_params, param_
                             train_clients)
 from fedaudit import simulator
 from fedaudit.privacy import PrivacyConfig, ReconstructionDivergedError
-from fedaudit.reporting import dlg_csv_text, dlg_json_text, result_json_text, rounds_csv_text
+from fedaudit.reporting import (dlg_csv_text, dlg_json_text, json_text, result_json_text,
+                                rounds_csv_text, sweep_csv_text)
 from fedaudit.scenarios import standard_config
 from fedaudit.simulator import (DLGExperimentConfig, Simulation, _ForkedWorker,
                                 comm_cost, run_dlg_experiment, run_experiment,
-                                sweep_experiment)
+                                run_experiments, sweep_experiment)
 from oracles import audit_peer_update
 
 
@@ -320,7 +321,8 @@ class TestSweep:
         rows = sweep_experiment(base, {"fr_count": [1, 3]})
         assert [row["fr_count"] for row in rows] == [1, 3]
 
-    def test_each_sweep_key_sets_its_own_field(self, monkeypatch):
+    def test_each_sweep_key_sets_its_own_field(self, cpus, monkeypatch):
+        cpus({0})  # a forked worker's runs would not reach the patch
         ran = []
 
         def fake_run(cfg):
@@ -770,4 +772,47 @@ class TestGridWorker:
         monkeypatch.setattr(simulator, "dlg_reconstruct", reconstruct_in_parent_only)
         with pytest.raises(RuntimeError, match=message):
             run_dlg_experiment(tiny_grid(2))
+        assert multiprocessing.active_children() == []
+
+
+class TestExperimentWorker:
+    def test_split_sweep_equals_serial(self, cpus, monkeypatch):
+        # minibatch training forks no training worker, so the one fork is
+        # the experiment worker's
+        base = tiny_config(rounds=4, local_batch_size=10)
+        sweep = {"beta": [1.25, 2.5], "gamma": [0.0, 0.5]}
+        forks = []
+        fork = os.fork
+
+        def count_fork():
+            forks.append(1)
+            return fork()
+        monkeypatch.setattr(os, "fork", count_fork)
+        cpus({0})
+        serial = sweep_experiment(base, sweep)
+        cpus({0, 1})
+        split = sweep_experiment(base, sweep)
+        assert len(forks) == 1
+        assert sweep_csv_text(split) == sweep_csv_text(serial)
+        assert json_text(split) == json_text(serial)
+
+    @pytest.mark.parametrize("failure, message", [
+        ("raise", "(?s)experiment worker failed:.*ValueError: worker half"),
+        ("exit", "experiment worker exited with code 3"),
+    ], ids=["raises", "exits"])
+    def test_worker_failure_raises(self, cpus, monkeypatch, failure, message):
+        cpus({0, 1})
+        parent = os.getpid()
+        run = simulator.run_experiment
+
+        def run_in_parent_only(cfg):
+            if os.getpid() != parent:
+                if failure == "exit":
+                    os._exit(3)
+                raise ValueError("worker half")
+            return run(cfg)
+        monkeypatch.setattr(simulator, "run_experiment", run_in_parent_only)
+        with pytest.raises(RuntimeError, match=message):
+            run_experiments([tiny_config(rounds=2, local_batch_size=10, seed=seed)
+                             for seed in (0, 1)])
         assert multiprocessing.active_children() == []
