@@ -6,7 +6,11 @@ prune stay zero even though noise was added before them.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import NamedTuple
 
 import numpy as np
@@ -46,11 +50,12 @@ def minimize(fun, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     options={"maxiter": maxiter})` does, without that wrapper's bookkeeping
     around each evaluation: the same x, fun, nit and nfev, bitwise (the oracle
     test in tests/test_privacy.py holds it to that). `fun` is called once per
-    distinct point, with a fresh copy of it. The core is imported on first
-    use: scipy.optimize is most of the time `import fedaudit` would take, and
-    only dlg_reconstruct needs it.
+    distinct point, with a fresh copy of it. The core is loaded on first use
+    without scipy.optimize's package (`_lbfgsb_core`), which would be most of
+    the time and memory a reconstructing process spends on imports; scipy
+    stays a dependency for this one extension.
     """
-    from scipy.optimize._lbfgsb import setulb
+    setulb = _lbfgsb_core().setulb
     m, pgtol, maxls, maxfun = 10, 1e-5, 20, 15000
     factr = 2.2204460492503131e-09 / np.finfo(float).eps  # scipy's default ftol
     n = x0.size
@@ -86,6 +91,37 @@ def minimize(fun, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                 task[:] = 5, 502  # STOP: evaluation limit
         else:
             return LBFGSResult(x, f, nit, nfev)
+
+
+def _lbfgsb_core():
+    """scipy's compiled L-BFGS-B extension, `scipy.optimize._lbfgsb`, without
+    running scipy.optimize's package __init__ (about 550 modules and 46 MB).
+
+    A copy already in sys.modules is reused. Otherwise the extension is loaded
+    from scipy's optimize directory, found without importing scipy, and
+    registered under its own name, so a later `import scipy.optimize` uses
+    this copy.
+    """
+    name = "scipy.optimize._lbfgsb"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError(f"{name}: scipy is not installed", name=name)
+    return _load_extension(name, os.path.join(scipy.submodule_search_locations[0],
+                                              "optimize"))
+
+
+def _load_extension(name: str, directory: str):
+    """Load and register the compiled module `name` from `directory`."""
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"{name}: no compiled extension in {directory}",
+                          name=name, path=directory)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
 
 
 class ReconstructionDivergedError(RuntimeError):

@@ -2,12 +2,14 @@
 
 Every CSV goes through `csv_text` and every JSON file through `json_text`, so
 output bytes are a pure function of the result objects (floats via repr, keys
-sorted, no timestamps) and identical runs produce identical files.
+sorted, no timestamps) and identical runs produce identical files. JSON is
+strict: a non-finite float is written as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable
 
 from .privacy import (DEFENDED_MSE_THRESHOLD, PUBLISHED_MSE, PUBLISHED_NOISE_LEVELS,
@@ -112,7 +114,19 @@ def csv_text(columns: Iterable[str], rows: Iterable[Iterable]) -> str:
 
 
 def json_text(payload: dict | list) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+def _finite_or_null(value):
+    """`value` with every NaN or infinite float, however deeply nested, None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def _cell(value) -> str:

@@ -45,6 +45,7 @@ class RoundLog:
     newly_eliminated: tuple[int, ...]
     n_active: int
     comm_scalars: int
+    audit_reports: int  # peer reports this round's audit made; 0 without an audit
 
 
 @dataclass(frozen=True)
@@ -182,8 +183,9 @@ class Simulation:
         id is its index in self.clients)."""
         return [self.clients[cid] for cid in self.ledger.active_ids()]
 
-    def _consume_audits(self):
-        """Score the previous round's uploads and eliminate low contributors."""
+    def _consume_audits(self) -> tuple[set[int], int]:
+        """Score the previous round's uploads and eliminate low contributors;
+        returns the eliminated ids and the number of peer reports made."""
         uploads_prev, theta_then, theta_before = self._pending_audit
         auditors = [c for c in self._active_clients() if c.audit_dataset is not None]
         model = self.config.model
@@ -213,10 +215,12 @@ class Simulation:
             self.ledger.contributions[target_id] = contribution_step(
                 self.ledger.contributions[target_id], column, alpha)
         self.last_audit_matrix = matrix
+        # every auditor scores every upload; its own is not a peer report
+        peer_reports = reports.size - len(row_of.keys() & uploads_prev.keys())
         # the cutoff 1/(beta * N) counts the initial roster, so it does not
         # rise as clients are eliminated
         return eliminate_low_contributors(self.ledger, self.config.defense.beta,
-                                          len(self.clients))
+                                          len(self.clients)), peer_reports
 
     def _rffl_score(self, uploads: dict[int, np.ndarray], delta: np.ndarray):
         """Cosine-reputation scores against this round's aggregate; unlike the
@@ -290,8 +294,9 @@ class Simulation:
         cfg = self.config
         t = len(self.logs)
         newly: set[int] = set()
+        audit_reports = 0
         if cfg.defense.kind == "pass" and self._pending_audit is not None:
-            newly = self._consume_audits()
+            newly, audit_reports = self._consume_audits()
 
         active = self._active_clients()
         if not active:
@@ -333,6 +338,7 @@ class Simulation:
             newly_eliminated=tuple(sorted(newly)),
             n_active=len(active),
             comm_scalars=comm,
+            audit_reports=audit_reports,
         )
         self.logs.append(log)
         return log

@@ -231,13 +231,87 @@ class TestDlgReconstruct:
             dlg_reconstruct(cfg, params, grad[:-1], (1, 8), iterations=10)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported on the first reconstruction, not with the package
-    src = str(Path(fedaudit.__file__).resolve().parents[1])
-    code = "import sys, fedaudit; print('scipy.optimize' in sys.modules)"
+def run_fresh(code: str) -> list[str]:
+    """Run `code` in a new interpreter that imports this checkout's fedaudit
+    and this directory's test modules; returns the words it printed."""
+    paths = [str(Path(fedaudit.__file__).resolve().parents[1]), str(Path(__file__).parent)]
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+    return out.stdout.split()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # neither the package nor a whole leakage grid, its forked worker allowed,
+    # imports scipy.optimize: the grid loads only the compiled L-BFGS-B core
+    code = """if True:
+        import os, sys
+        import fedaudit
+        print('scipy.optimize' in sys.modules)
+        from fedaudit.simulator import DLGExperimentConfig, _can_fork, run_dlg_experiment
+        forks, fork = [], os.fork
+        os.fork = lambda: forks.append(1) or fork()
+        can_fork = _can_fork()
+        run_dlg_experiment(DLGExperimentConfig(
+            noise_variances=(0.0, 1e-2), prune_rates=(0.0, 0.5), instances=2,
+            iterations=40, input_dim=4, num_classes=2, seed=3))
+        print(len(forks) == can_fork, 'scipy.optimize' in sys.modules,
+              'scipy.optimize._lbfgsb' in sys.modules)
+    """
+    assert run_fresh(code) == ["False", "True", "False", "True"]
+
+
+class TestCoreLoader:
+    """privacy.minimize loads scipy's compiled L-BFGS-B core by itself, and
+    shares one copy of it with scipy.optimize whichever is imported first."""
+
+    def test_reuses_the_core_scipy_optimize_loaded(self):
+        code = """if True:
+            import sys
+            import scipy.optimize
+            core = sys.modules["scipy.optimize._lbfgsb"]
+            calls, setulb = [], core.setulb
+            core.setulb = lambda *args: calls.append(1) or setulb(*args)
+            from fedaudit import privacy
+            from test_privacy import single_sample_instance
+            cfg, params, _, grad = single_sample_instance(seed=3)
+            privacy.dlg_reconstruct(cfg, params, grad, (1, 8), iterations=20, seed=1)
+            print(core is scipy.optimize._lbfgsb, privacy._lbfgsb_core() is core,
+                  len(calls) > 0)
+        """
+        assert run_fresh(code) == ["True", "True", "True"]
+
+    def test_scipy_optimize_imported_later_uses_the_loaded_core(self):
+        code = """if True:
+            import sys
+            import numpy as np
+            from fedaudit import privacy
+            from test_privacy import matching_problem
+            fun, u0, lower, upper, _ = matching_problem((3,), 1)
+            ours = privacy.minimize(fun, u0, lower, upper, 300)
+            core = sys.modules["scipy.optimize._lbfgsb"]
+            print('scipy.optimize' in sys.modules)
+            import scipy.optimize
+            bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+                      for lo, hi in zip(lower, upper)]
+            theirs = scipy.optimize.minimize(fun, u0, jac=True, method="L-BFGS-B",
+                                             bounds=bounds, options={"maxiter": 300})
+            print(sys.modules["scipy.optimize._lbfgsb"] is core,
+                  np.array_equal(ours.x, theirs.x), ours.fun == theirs.fun,
+                  (ours.nit, ours.nfev) == (theirs.nit, theirs.nfev), ours.nit > 5)
+        """
+        assert run_fresh(code) == ["False"] + ["True"] * 5
+
+    def test_missing_extension_names_the_directory(self, tmp_path):
+        code = f"""if True:
+            import sys
+            from fedaudit import privacy
+            try:
+                privacy._load_extension("scipy.optimize._lbfgsb", {str(tmp_path)!r})
+            except ImportError as exc:
+                print({str(tmp_path)!r} in str(exc))
+            print('scipy.optimize._lbfgsb' in sys.modules)
+        """
+        assert run_fresh(code) == ["True", "False"]
 
 
 def matching_problem(hidden, seed):

@@ -2,6 +2,7 @@
 
 import copy
 import inspect
+import json
 import math
 import multiprocessing
 import os
@@ -374,6 +375,29 @@ class TestDlgGrid:
         b = run_dlg_experiment(cfg)
         assert a == b
 
+    def test_json_is_strict_with_null_for_non_finite(self, monkeypatch):
+        # the Soteria reference rows have no noise variance and a cell whose
+        # every instance diverged has no median: both NaN, both written null
+        reconstruct = simulator.dlg_reconstruct
+
+        def diverge_when_pruned(model, params, observed, shape, iterations, seed):
+            if (observed == 0).any():
+                raise ReconstructionDivergedError("diverged", None)
+            return reconstruct(model, params, observed, shape, iterations, seed)
+        monkeypatch.setattr(simulator, "dlg_reconstruct", diverge_when_pruned)
+        cells = run_dlg_experiment(tiny_grid(2))
+
+        def reject(constant):
+            raise ValueError(f"bare {constant} in the JSON")
+        rows = json.loads(dlg_json_text(cells), parse_constant=reject)
+        soteria = [r for r in rows if r["source"] == "published_soteria_reference"]
+        assert [r["noise_variance"] for r in soteria] == [None] * 10
+        simulated = [r for r in rows if r["source"] == "simulated"]
+        assert [(r["prune_rate"], r["diverged"]) for r in simulated] == [
+            (0.0, 0), (0.5, 2)] * 2
+        for row in simulated:
+            assert (row["median_mse"] is None) == (row["prune_rate"] == 0.5)
+
 
 class TestAuditMatrix:
     def test_audit_causality_and_shape(self):
@@ -446,8 +470,9 @@ class TestAuditMatrix:
             pending = sim._pending_audit
             auditors = [c for c in sim._active_clients()
                         if c.audit_dataset is not None]
-            sim.run_round()
+            log = sim.run_round()
             if pending is None:
+                assert log.audit_reports == 0
                 continue
             uploads, theta_then, theta_before = pending
             seen.append((next(iter(uploads)), len(uploads)))
@@ -459,11 +484,28 @@ class TestAuditMatrix:
                         row[target_id] = audit_peer_update(
                             a.audit_dataset, cfg.model, theta_then, theta_before, upload)
             entries = sim.last_audit_matrix.entries
+            assert log.audit_reports == sum(len(row) for row in entries.values())
             assert selfish <= set(entries)
             assert list(entries) == list(expected.entries)
             for auditor, row in expected.entries.items():
                 assert list(entries[auditor].items()) == list(row.items())
         assert seen == targets_seen
+
+    def test_audit_wide_tiny_shape_report_count(self):
+        # uploads of round t are audited in round t + 1; round-0 uploads never
+        # are, and no client can be eliminated with contributions from 1.0
+        cfg = standard_config(fair=6, plain=2, seed=0, rounds=4, local_epochs=5)
+        cfg = replace(cfg, defense=replace(cfg.defense, initial_contribution=1.0))
+        result = run_experiment(cfg)
+        assert not result.eliminated
+        assert (sum(log.audit_reports for log in result.rounds)
+                == (cfg.rounds - 2) * cfg.roster.fair * (cfg.roster.total - 1))
+
+    @pytest.mark.parametrize("defense", ["rffl", "none"])
+    def test_no_reports_without_the_audit_defense(self, defense):
+        result = run_experiment(standard_config(fair=3, plain=1, seed=0, rounds=3,
+                                                defense=defense, local_epochs=2))
+        assert [log.audit_reports for log in result.rounds] == [0, 0, 0]
 
 
 class TestRoster:
