@@ -15,8 +15,8 @@ from .defense import (AuditMatrix, ContributionLedger, contribution_step,
                       cosine_contribution_step, cosine_similarity,
                       defense_success_rate, eliminate_low_contributors,
                       false_positive_rate)
-from .model import (AdamState, ModelConfig, accuracy, adam_step, backward,
-                    backward_soft, init_params, param_count)
+from .model import (ModelConfig, accuracy, backward, backward_soft, init_params,
+                    param_count)
 from .privacy import (DEFENDED_MSE_THRESHOLD, PrivacyConfig,
                       ReconstructionDivergedError, apply_privacy,
                       dlg_reconstruct, reconstruction_mse)

@@ -4,7 +4,8 @@ Free riders never touch a private shard; the selfish variant is the only one
 holding data (a public dataset used for its first-round update and for
 honest-looking audits). All cross-client interaction flows through the
 server payload (the current global parameters and the previously allocated
-global update), so clients are independent within a round.
+global update), so clients are independent within a round. Each rider's
+attack strength is a constant of its class.
 """
 
 from __future__ import annotations
@@ -12,30 +13,30 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .model import AdamState, ModelConfig, adam_step, train_clients
+from .model import ModelConfig, train_clients
 
-FR_ADAM_LR = 0.015
-FR_ADAM_DECAY = 0.997
+# the textbook Adam moments' decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class Client:
-    """Base participant: an id and an optional audit dataset. Whether it is
-    still in the federation is the ledger's record (defense.ContributionLedger).
+    """Base participant: an id, its FedAvg weight (free riders forge the fair
+    count) and the data it can honestly audit peers with (None = cannot
+    audit). Whether it is still in the federation is the ledger's record
+    (defense.ContributionLedger).
 
     Each free-rider class defines its own compute_update, so wrapping one
     class's method (to trace it, say) affects that class alone. FairClient
     inherits this abstract one: the simulator trains fair clients as one stack."""
 
     kind = "fair"
-    declared_samples = 1  # nominal FedAvg weight; free riders forge the fair count
+    audit_dataset: Dataset | None = None
 
-    def __init__(self, client_id: int):
+    def __init__(self, client_id: int, declared_samples: int):
         self.id = client_id
-
-    @property
-    def audit_dataset(self) -> Dataset | None:
-        """Data this client can honestly audit peers with (None = cannot audit)."""
-        return None
+        self.declared_samples = declared_samples
 
     def compute_update(self, global_params: np.ndarray,
                        prev_global_update: np.ndarray | None, config: ModelConfig,
@@ -48,21 +49,12 @@ class FairClient(Client):
     kind = "fair"
 
     def __init__(self, client_id: int, shard: Dataset):
-        super().__init__(client_id)
-        self.shard = shard
-        self.declared_samples = len(shard)
-
-    @property
-    def audit_dataset(self) -> Dataset | None:
-        return self.shard
+        super().__init__(client_id, len(shard))
+        self.shard = self.audit_dataset = shard
 
 
 class PlainFreeRider(Client):
     kind = "plain"
-
-    def __init__(self, client_id: int, declared_samples: int = 1):
-        super().__init__(client_id)
-        self.declared_samples = declared_samples
 
     def compute_update(self, global_params, prev_global_update, config, eta, rng):
         """Echo the allocated global update; zero vector before one exists."""
@@ -73,20 +65,12 @@ class PlainFreeRider(Client):
 
 class DisguisedFreeRider(Client):
     kind = "disguised"
-
-    def __init__(self, client_id: int, noise_variance: float = 1e-2,
-                 declared_samples: int = 1):
-        super().__init__(client_id)
-        self.noise_variance = noise_variance
-        self.declared_samples = declared_samples
+    NOISE_VARIANCE = 1e-2
 
     def compute_update(self, global_params, prev_global_update, config, eta, rng):
-        """The plain echo plus i.i.d. Gaussian noise of the given variance."""
-        dim = global_params.shape[0]
-        echo = np.zeros(dim) if prev_global_update is None else prev_global_update.copy()
-        if self.noise_variance != 0:
-            echo += rng.normal(0.0, np.sqrt(self.noise_variance), dim)
-        return echo
+        """The plain echo plus i.i.d. Gaussian noise of NOISE_VARIANCE."""
+        noise = rng.normal(0.0, np.sqrt(self.NOISE_VARIANCE), global_params.shape[0])
+        return noise if prev_global_update is None else prev_global_update + noise
 
 
 class _AdamEchoRider(Client):
@@ -94,20 +78,25 @@ class _AdamEchoRider(Client):
     with its own values as the pseudo-gradient. This is how the Adam-evolved
     free riders track the global trajectory without computing anything."""
 
-    def __init__(self, client_id: int, adam_lr: float, adam_decay: float,
-                 declared_samples: int):
-        super().__init__(client_id)
-        self.adam_lr = adam_lr
-        self.adam_decay = adam_decay
-        self.declared_samples = declared_samples
-        self.adam_state: AdamState | None = None
+    ADAM_LR = 0.015
+    ADAM_DECAY = 0.997
+
+    def __init__(self, client_id: int, declared_samples: int):
+        super().__init__(client_id, declared_samples)
+        self.m = self.v = 0.0  # Adam moments; broadcast to the update's shape
+        self.steps = 0
+        self.rate = self.ADAM_LR
 
     def _adam_echo(self, prev_global_update: np.ndarray) -> np.ndarray:
-        if self.adam_state is None:
-            self.adam_state = AdamState.fresh(prev_global_update.shape[0],
-                                              self.adam_lr, self.adam_decay)
-        evolved, self.adam_state = adam_step(self.adam_state, prev_global_update,
-                                             prev_global_update)
+        """Bias-corrected Adam step; the rate decays by ADAM_DECAY afterwards."""
+        g = prev_global_update
+        self.steps += 1
+        self.m = BETA1 * self.m + (1 - BETA1) * g
+        self.v = BETA2 * self.v + (1 - BETA2) * g ** 2
+        m_hat = self.m / (1 - BETA1 ** self.steps)
+        v_hat = self.v / (1 - BETA2 ** self.steps)
+        evolved = g - self.rate * m_hat / (np.sqrt(v_hat) + EPS)
+        self.rate *= self.ADAM_DECAY
         return evolved
 
 
@@ -115,16 +104,11 @@ class AnonymousFreeRider(_AdamEchoRider):
     """No data at all: pure noise on round 0, Adam-evolved echoes afterwards."""
 
     kind = "anonymous"
-
-    def __init__(self, client_id: int, adam_lr: float = FR_ADAM_LR,
-                 adam_decay: float = FR_ADAM_DECAY, init_noise_variance: float = 1e-2,
-                 declared_samples: int = 1):
-        super().__init__(client_id, adam_lr, adam_decay, declared_samples)
-        self.init_noise_variance = init_noise_variance
+    INIT_NOISE_VARIANCE = 1e-2
 
     def compute_update(self, global_params, prev_global_update, config, eta, rng):
         if prev_global_update is None:
-            return rng.normal(0.0, np.sqrt(self.init_noise_variance),
+            return rng.normal(0.0, np.sqrt(self.INIT_NOISE_VARIANCE),
                               global_params.shape[0])
         return self._adam_echo(prev_global_update)
 
@@ -135,24 +119,18 @@ class SelfishFreeRider(_AdamEchoRider):
     protocol-conformant."""
 
     kind = "selfish"
+    PRETRAIN_EPOCHS = 5
 
-    def __init__(self, client_id: int, public_data: Dataset,
-                 pretrain_epochs: int = 5, adam_lr: float = FR_ADAM_LR,
-                 adam_decay: float = FR_ADAM_DECAY):
+    def __init__(self, client_id: int, public_data: Dataset):
         if len(public_data) == 0:
             raise ValueError("selfish free rider needs non-empty public data")
-        super().__init__(client_id, adam_lr, adam_decay, len(public_data))
-        self.public_data = public_data
-        self.pretrain_epochs = pretrain_epochs
-
-    @property
-    def audit_dataset(self) -> Dataset | None:
-        return self.public_data
+        super().__init__(client_id, len(public_data))
+        self.audit_dataset = public_data
 
     def compute_update(self, global_params, prev_global_update, config, eta, rng):
         if prev_global_update is None:
-            trained = train_clients(global_params, config, self.public_data.features[None],
-                                    self.public_data.labels[None], eta, self.pretrain_epochs)
+            public = self.audit_dataset
+            trained = train_clients(global_params, config, public.features[None],
+                                    public.labels[None], eta, self.PRETRAIN_EPOCHS)
             return trained[0] - global_params
         return self._adam_echo(prev_global_update)
-

@@ -8,13 +8,10 @@ positive rate).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 # Peer audits need at least two peers to mean anything; below this many active
 # clients elimination is suspended.
@@ -62,7 +59,6 @@ def contribution_step(c_prev: float, accdiv_reports: list[float], alpha: float) 
     addition, not with builtin sum(), which compensates from Python 3.12 on
     and would make the bits depend on the interpreter version."""
     if not accdiv_reports:
-        log.debug("no audit reports this round; carrying contribution forward")
         return c_prev
     total = 0.0
     for report in accdiv_reports:
@@ -87,7 +83,6 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of the angle between two vectors; 0 when either has zero norm."""
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
-        log.debug("zero-norm vector in cosine similarity; returning 0")
         return 0.0
     return float(np.dot(a, b) / (na * nb))
 

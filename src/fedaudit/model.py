@@ -1,4 +1,4 @@
-"""Flat-vector classifier core: MLP with softmax cross-entropy, SGD and Adam.
+"""Flat-vector classifier core: MLP with softmax cross-entropy and SGD.
 
 Every routine works on a single flat parameter vector so that uploads,
 aggregation, noise, pruning, and audits all handle plain numpy arrays.
@@ -8,16 +8,10 @@ coordinate-wise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import ModelConfig
 from .data import Dataset
-
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
 
 
 def param_count(config: ModelConfig) -> int:
@@ -297,36 +291,6 @@ def matching_loss(params: np.ndarray, config: ModelConfig, features: np.ndarray,
         if i > 0:
             out_bar = hidden_bar[i] * (1.0 - hidden[i][:, :-1] ** 2)
     return value, hidden_bar[0], z_bar
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """Adam moments plus a learning rate that decays multiplicatively per step."""
-
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int
-    learning_rate: float
-    decay: float
-
-    @classmethod
-    def fresh(cls, dim: int, learning_rate: float, decay: float = 1.0) -> "AdamState":
-        return cls(np.zeros(dim), np.zeros(dim), 0, learning_rate, decay)
-
-
-def adam_step(state: AdamState, params: np.ndarray,
-              gradient: np.ndarray) -> tuple[np.ndarray, AdamState]:
-    """Standard bias-corrected Adam step; the learning rate decays afterwards."""
-    if params.shape != gradient.shape or params.shape != state.first_moment.shape:
-        raise ValueError("params/gradient/state dimension mismatch")
-    t = state.step_count + 1
-    m = ADAM_BETA1 * state.first_moment + (1 - ADAM_BETA1) * gradient
-    v = ADAM_BETA2 * state.second_moment + (1 - ADAM_BETA2) * gradient ** 2
-    m_hat = m / (1 - ADAM_BETA1 ** t)
-    v_hat = v / (1 - ADAM_BETA2 ** t)
-    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    new_state = AdamState(m, v, t, state.learning_rate * state.decay, state.decay)
-    return new_params, new_state
 
 
 def epoch_permutations(n: int, epochs: int, rng: np.random.Generator) -> np.ndarray:

@@ -100,7 +100,10 @@ def _lbfgsb_core():
     A copy already in sys.modules is reused. Otherwise the extension is loaded
     from scipy's optimize directory, found without importing scipy, and
     registered under its own name, so a later `import scipy.optimize` uses
-    this copy.
+    this copy. That import does not set the package's `_lbfgsb` attribute,
+    so attribute access `scipy.optimize._lbfgsb` then raises AttributeError;
+    `import scipy.optimize._lbfgsb` or `from scipy.optimize import _lbfgsb`
+    finds the loaded copy.
     """
     name = "scipy.optimize._lbfgsb"
     if name in sys.modules:

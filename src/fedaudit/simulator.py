@@ -110,7 +110,7 @@ class Simulation:
         forged = config.data.samples_per_client
         for cls in (PlainFreeRider, DisguisedFreeRider, AnonymousFreeRider):
             for _ in range(getattr(roster, cls.kind)):
-                self.clients.append(cls(len(self.clients), declared_samples=forged))
+                self.clients.append(cls(len(self.clients), forged))
         for shard in public_shards:
             self.clients.append(SelfishFreeRider(len(self.clients), shard))
 

@@ -1,7 +1,7 @@
 """Test references that no run calls: the row-major loss the
-finite-difference checks differentiate, and the one-pair form of the peer
+finite-difference checks differentiate, the one-pair form of the peer
 audit report that the simulator computes in one stacked accuracy pass per
-auditor."""
+auditor, and the textbook Adam step the Adam-echo riders take."""
 
 import numpy as np
 
@@ -43,3 +43,14 @@ def audit_peer_update(auditor_shard: Dataset, config: ModelConfig,
         raise ValueError("audit parameter vectors must have matching dims")
     return (accuracy(theta_curr, config, auditor_shard)
             - accuracy(theta_prev + peer_update, config, auditor_shard))
+
+
+def adam_step(params: np.ndarray, gradient: np.ndarray, m: np.ndarray, v: np.ndarray,
+              t: int, learning_rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bias-corrected Adam step t (counted from 1) with beta1 0.9, beta2 0.999
+    and eps 1e-8 (Kingma and Ba, 2015): the new params and moments."""
+    m = 0.9 * m + (1 - 0.9) * gradient
+    v = 0.999 * v + (1 - 0.999) * gradient ** 2
+    m_hat = m / (1 - 0.9 ** t)
+    v_hat = v / (1 - 0.999 ** t)
+    return params - learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8), m, v

@@ -6,10 +6,11 @@ import pytest
 from fedaudit.clients import (AnonymousFreeRider, Client, DisguisedFreeRider,
                               FairClient, PlainFreeRider, SelfishFreeRider)
 from fedaudit.data import Dataset, generate_synthetic
-from fedaudit.model import (AdamState, ModelConfig, adam_step, backward, init_params,
-                            train_clients)
+from fedaudit.model import ModelConfig, backward, init_params, train_clients
 from fedaudit.scenarios import standard_config
 from fedaudit.simulator import Simulation
+
+from oracles import adam_step
 
 
 @pytest.fixture
@@ -52,40 +53,45 @@ class TestFairUpdate:
 class TestPlainFreeRider:
     def test_exact_echo(self):
         prev = np.array([0.1, -0.4, 2.0])
-        out = rider_update(PlainFreeRider(0), prev, 3)
+        out = rider_update(PlainFreeRider(0, 1), prev, 3)
         assert np.array_equal(out, prev)
         assert out is not prev
         assert np.linalg.norm(out) == np.linalg.norm(prev)
 
     def test_round_zero_zero_vector(self):
-        out = rider_update(PlainFreeRider(0), None, 4)
+        out = rider_update(PlainFreeRider(0, 1), None, 4)
         assert np.array_equal(out, np.zeros(4))
 
     def test_cosine_with_source_is_one(self):
         prev = np.array([1.0, 2.0])
-        out = rider_update(PlainFreeRider(0), prev, 2)
+        out = rider_update(PlainFreeRider(0, 1), prev, 2)
         cos = out @ prev / (np.linalg.norm(out) * np.linalg.norm(prev))
         assert cos == pytest.approx(1.0)
+
+
+def disguised(noise_variance):
+    """A disguised rider whose instance overrides the class's noise variance."""
+    rider = DisguisedFreeRider(0, 1)
+    rider.NOISE_VARIANCE = noise_variance
+    return rider
 
 
 class TestDisguisedFreeRider:
     def test_zero_variance_reduces_to_plain(self):
         prev = np.array([0.5, -0.5])
-        out = rider_update(DisguisedFreeRider(0, noise_variance=0.0), prev, 2)
+        out = rider_update(disguised(0.0), prev, 2)
         assert np.array_equal(out, prev)
         assert out is not prev
 
     def test_noise_variance_estimate(self):
         prev = np.zeros(10_000)
-        out = rider_update(DisguisedFreeRider(0, noise_variance=1e-2), prev,
-                           10_000, seed=5)
+        out = rider_update(DisguisedFreeRider(0, 1), prev, 10_000, seed=5)
         assert np.var(out - prev) == pytest.approx(1e-2, rel=0.1)
         assert not prev.any()  # the noise lands on a copy of the echo
 
     def test_cosine_approaches_one_as_variance_vanishes(self):
         prev = np.random.default_rng(1).standard_normal(500)
-        out = rider_update(DisguisedFreeRider(0, noise_variance=1e-10), prev, 500,
-                           seed=2)
+        out = rider_update(disguised(1e-10), prev, 500, seed=2)
         cos = out @ prev / (np.linalg.norm(out) * np.linalg.norm(prev))
         assert cos > 0.999999
 
@@ -94,7 +100,7 @@ class TestAnonymousFreeRider:
     def test_round_zero_noise_uncorrelated_with_gradient(self, world):
         cfg_small, shard, _ = world
         cfg = ModelConfig(40, (45,), 5)  # big d for a stable correlation estimate
-        afr = AnonymousFreeRider(0)
+        afr = AnonymousFreeRider(0, 1)
         out = afr.compute_update(np.zeros(2075), None, cfg, 0.1,
                                  np.random.default_rng(3))
         data = generate_synthetic(5, 40, 60, 2.0, 4)
@@ -103,18 +109,19 @@ class TestAnonymousFreeRider:
         assert abs(corr) < 0.1
 
     def test_adam_state_step_count_increments(self):
-        afr = AnonymousFreeRider(0)
+        afr = AnonymousFreeRider(0, 1)
         cfg = ModelConfig(2, (), 2)
         prev = np.array([0.2, -0.1, 0.05, 0.0, 0.3, -0.2])
         for expected_steps in (1, 2, 3):
             afr.compute_update(np.zeros(6), prev, cfg, 0.1, np.random.default_rng(0))
-            assert afr.adam_state.step_count == expected_steps
+            assert afr.steps == expected_steps
 
     def test_zero_echo_is_adam_fixed_point(self):
-        afr = AnonymousFreeRider(0, adam_lr=0.015, adam_decay=0.997)
+        afr = AnonymousFreeRider(0, 1)
         out = rider_update(afr, np.zeros(4), 4)
         assert np.array_equal(out, np.zeros(4))
-        assert afr.adam_state.step_count == 1
+        assert not np.any(afr.m) and not np.any(afr.v)
+        assert afr.steps == 1
 
 
 class TestSelfishFreeRider:
@@ -122,24 +129,24 @@ class TestSelfishFreeRider:
         cfg, shard, params = world
         pretrained = train_clients(params, cfg, shard.features[None],
                                    shard.labels[None], 0.1, 5)[0] - params
-        sfr = SelfishFreeRider(0, shard, pretrain_epochs=5)
+        sfr = SelfishFreeRider(0, shard)
         out = sfr.compute_update(params, None, cfg, 0.1, np.random.default_rng(0))
         assert out.tobytes() == pretrained.tobytes()
-        assert sfr.adam_state is None
+        assert sfr.steps == 0
         # once an update is allocated it echoes, even with the round-0 params
         prev = np.full(params.shape[0], 0.1)
         echo = sfr.compute_update(params, prev, cfg, 0.1, np.random.default_rng(0))
-        expected, _ = adam_step(AdamState.fresh(params.shape[0], 0.015, 0.997),
-                                prev, prev)
+        zeros = np.zeros(params.shape[0])
+        expected, _, _ = adam_step(prev, prev, zeros, zeros, 1, 0.015)
         assert echo.tobytes() == expected.tobytes()
 
     def test_default_adam_hyperparameters(self, world):
         cfg, shard, _ = world
         sfr = SelfishFreeRider(0, shard)
         prev = np.full(15, 0.1)
-        sfr.compute_update(np.zeros(15), prev, cfg, 0.1, np.random.default_rng(0))
-        assert sfr.adam_state.learning_rate == pytest.approx(0.015 * 0.997)
-        assert sfr.adam_state.decay == 0.997
+        for steps in (1, 2):
+            sfr.compute_update(np.zeros(15), prev, cfg, 0.1, np.random.default_rng(0))
+            assert sfr.rate == pytest.approx(0.015 * 0.997 ** steps, rel=1e-12)
 
     def test_empty_public_data_rejected(self):
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
@@ -168,11 +175,40 @@ class TestSelfishFreeRider:
         assert np.mean(sfr_cos) > np.mean(fair_cos)
 
 
+class TestAdamEcho:
+    @pytest.mark.parametrize("kind", ["anonymous", "selfish"])
+    def test_echo_matches_textbook_adam(self, world, kind):
+        # bitwise each round, with the rate decayed by 0.997 after each step
+        cfg, shard, _ = world
+        rider = AnonymousFreeRider(0, 1) if kind == "anonymous" else SelfishFreeRider(0, shard)
+        dim = 15
+        allocated = np.random.default_rng(6)
+        m = v = np.zeros(dim)
+        rate = 0.015
+        for t in (1, 2, 3, 4):
+            prev = allocated.normal(0.0, 0.1, dim)
+            out = rider.compute_update(np.zeros(dim), prev, cfg, 0.1,
+                                       np.random.default_rng(0))
+            expected, m, v = adam_step(prev, prev, m, v, t, rate)
+            rate *= 0.997
+            assert out.tobytes() == expected.tobytes()
+            assert rider.rate == rate
+
+    def test_constant_gradient_sign_direction(self):
+        # a constant echo g moves by the rate against sign(g) each step
+        g = np.array([0.02, -0.4, 1.3])
+        afr = AnonymousFreeRider(0, 1)
+        for _ in range(200):
+            rate = afr.rate
+            out = rider_update(afr, g, 3)
+        assert np.allclose(out - g, -rate * np.sign(g), rtol=1e-3)
+
+
 class TestDataAccessIsolation:
     def test_free_riders_hold_no_private_shard(self):
-        assert PlainFreeRider(0).audit_dataset is None
-        assert DisguisedFreeRider(0).audit_dataset is None
-        assert AnonymousFreeRider(0).audit_dataset is None
+        assert PlainFreeRider(0, 1).audit_dataset is None
+        assert DisguisedFreeRider(0, 1).audit_dataset is None
+        assert AnonymousFreeRider(0, 1).audit_dataset is None
 
     def test_only_fair_and_selfish_read_data(self):
         reads = {"count": 0}
@@ -190,9 +226,9 @@ class TestDataAccessIsolation:
         prev = np.full(8, 0.1)
         rng = np.random.default_rng(0)
         # the dataless variants never accept or touch a shard
-        PlainFreeRider(1).compute_update(np.zeros(8), prev, cfg, 0.1, rng)
-        DisguisedFreeRider(2).compute_update(np.zeros(8), prev, cfg, 0.1, rng)
-        AnonymousFreeRider(3).compute_update(np.zeros(8), prev, cfg, 0.1, rng)
+        PlainFreeRider(1, 1).compute_update(np.zeros(8), prev, cfg, 0.1, rng)
+        DisguisedFreeRider(2, 1).compute_update(np.zeros(8), prev, cfg, 0.1, rng)
+        AnonymousFreeRider(3, 1).compute_update(np.zeros(8), prev, cfg, 0.1, rng)
         assert reads["count"] == 0
         SelfishFreeRider(4, counting).compute_update(np.zeros(8), None, cfg, 0.1, rng)
         assert reads["count"] > 0

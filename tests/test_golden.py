@@ -9,8 +9,9 @@ contract, so a refactor that changes any number or any output byte fails here
 even when every behavioural test still passes.
 
 A golden may be refreshed only by a change whose CHANGES.md entry names the
-golden and says why its bytes moved. To rewrite all goldens from the current
-code: `PYTHONPATH=src python tests/test_golden.py --write`.
+golden and says why its bytes moved. `PYTHONPATH=src python tests/test_golden.py
+--write` writes the golden of every case that has no golden file yet and
+leaves the others alone; to refresh a golden, delete its file first.
 """
 
 import hashlib
@@ -27,7 +28,8 @@ import pytest
 from fedaudit.model import ModelConfig
 from fedaudit.reporting import (dlg_csv_text, dlg_json_text, json_text,
                                 result_json_text, rounds_csv_text, sweep_csv_text)
-from fedaudit.scenarios import INPUT_DIM, NUM_CLASSES, standard_config
+from fedaudit.scenarios import (INPUT_DIM, NUM_CLASSES, neutrality_config,
+                                standard_config)
 from fedaudit.simulator import (DLGExperimentConfig, run_dlg_experiment,
                                 run_experiment, sweep_experiment)
 
@@ -49,6 +51,13 @@ def _minibatch():
 def _hidden():
     cfg = _small(fair=3, plain=1, anonymous=1, seed=5)
     return replace(cfg, model=ModelConfig(INPUT_DIM, (5,), NUM_CLASSES))
+
+
+def _initial_contribution():
+    """The pass case with initial_contribution set: every elimination moves
+    later, client 1 survives and the selfish rider 6 is eliminated."""
+    cfg = SIM_CASES["pass"]()
+    return replace(cfg, defense=replace(cfg.defense, initial_contribution=0.2))
 
 
 def _idx(directory: Path):
@@ -88,6 +97,9 @@ SIM_CASES = {
     # both plain riders fall below the cosine cutoff and the run halts
     "halt": lambda: _small(fair=0, plain=2, seed=10, defense="rffl",
                            privacy_on=False, rounds=30),
+    "initial_contribution": _initial_contribution,
+    # criterion 4's scenario: ten fair clients on the easy IID task
+    "neutrality": lambda: neutrality_config(seed=1, rounds=6),
 }
 
 # cases built from files the test writes into a temporary directory
@@ -151,6 +163,8 @@ if __name__ == "__main__":
         raise SystemExit("usage: python tests/test_golden.py --write")
     GOLDEN_DIR.mkdir(exist_ok=True)
     for case in ALL_CASES:
-        (GOLDEN_DIR / f"{case}.json").write_text(
-            json.dumps(fingerprint(case), indent=2, sort_keys=True) + "\n")
+        path = GOLDEN_DIR / f"{case}.json"
+        if path.exists():
+            continue
+        path.write_text(json.dumps(fingerprint(case), indent=2, sort_keys=True) + "\n")
         print(f"wrote {case}")

@@ -1,4 +1,4 @@
-"""Core model: parameter layout, forward/backward, SGD and Adam."""
+"""Core model: parameter layout, forward/backward and SGD."""
 
 import math
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from fedaudit.data import Dataset, generate_synthetic
-from fedaudit.model import (AdamState, ModelConfig, _augmented, _backprop, _class_sum,
-                            _forward, _grads, _softmax, _with_ones, accuracy, adam_step,
-                            backward, backward_soft, epoch_permutations, init_params,
+from fedaudit.model import (ModelConfig, _augmented, _backprop, _class_sum, _forward,
+                            _grads, _softmax, _with_ones, accuracy, backward,
+                            backward_soft, epoch_permutations, init_params,
                             param_count, train_clients)
 from oracles import forward_loss
 
@@ -379,36 +379,6 @@ class TestSgd:
         b = train_clients(init_params(cfg, 5), cfg, data.features[None],
                           data.labels[None], 0.1, 20)
         assert np.array_equal(a, b)
-
-
-class TestAdam:
-    def test_zero_gradient_fixed_point(self):
-        state = AdamState.fresh(3, 0.1)
-        params = np.array([1.0, 2.0, 3.0])
-        new_params, new_state = adam_step(state, params, np.zeros(3))
-        assert np.array_equal(new_params, params)
-        assert np.all(new_state.first_moment == 0)
-        assert np.all(new_state.second_moment == 0)
-        assert new_state.step_count == 1
-
-    def test_constant_gradient_sign_direction(self):
-        g = np.array([0.02, -0.4, 1.3])
-        lr, decay = 0.01, 1.0
-        state = AdamState.fresh(3, lr, decay)
-        params = np.zeros(3)
-        for _ in range(200):
-            prev = params
-            params, state = adam_step(state, params, g)
-        step = params - prev
-        assert np.allclose(step, -lr * np.sign(g), rtol=1e-3)
-
-    def test_learning_rate_decay(self):
-        state = AdamState.fresh(2, 0.015, 0.997)
-        params = np.zeros(2)
-        g = np.ones(2)
-        for _ in range(2):
-            params, state = adam_step(state, params, g)
-        assert state.learning_rate == pytest.approx(0.015 * 0.997 ** 2, rel=1e-12)
 
 
 class TestBatchedTraining:

@@ -1,7 +1,6 @@
 """Round orchestration: allocation, audits, elimination, aggregation, logging."""
 
 import copy
-import inspect
 import json
 import math
 import multiprocessing
@@ -518,13 +517,14 @@ class TestRoster:
         assert [c.id for c in clients] == list(range(len(clients)))
         # every client carries the fair FedAvg weight, forged or real
         assert {c.declared_samples for c in clients} == {cfg.data.samples_per_client}
-        strengths = {DisguisedFreeRider: ("noise_variance",),
-                     AnonymousFreeRider: ("adam_lr", "adam_decay", "init_noise_variance"),
-                     SelfishFreeRider: ("adam_lr", "adam_decay", "pretrain_epochs")}
+        # every rider attacks with its class's reference strength
+        adam = {"ADAM_LR": 0.015, "ADAM_DECAY": 0.997}
+        strengths = {DisguisedFreeRider: {"NOISE_VARIANCE": 1e-2},
+                     AnonymousFreeRider: {**adam, "INIT_NOISE_VARIANCE": 1e-2},
+                     SelfishFreeRider: {**adam, "PRETRAIN_EPOCHS": 5}}
         for c in clients:
-            defaults = inspect.signature(type(c)).parameters
-            for name in strengths.get(type(c), ()):
-                assert getattr(c, name) == defaults[name].default
+            for name, value in strengths.get(type(c), {}).items():
+                assert getattr(c, name) == value
 
 
 class TestOtherRiderVariants:
