@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from fedaudit.clients import AnonymousFreeRider
 from fedaudit.data import Dataset, generate_synthetic
 from fedaudit.model import (ModelConfig, _augmented, _backprop, _class_sum, _forward,
                             _grads, _softmax, _with_ones, accuracy, backward,
                             backward_soft, epoch_permutations, init_params,
                             param_count, train_clients)
-from oracles import forward_loss
+from oracles import adam_step, forward_loss
 
 
 def fd_gradient(params, config, batch, step=1e-5):
@@ -379,6 +380,31 @@ class TestSgd:
         b = train_clients(init_params(cfg, 5), cfg, data.features[None],
                           data.labels[None], 0.1, 20)
         assert np.array_equal(a, b)
+
+
+class TestAdam:
+    """The textbook Adam step and the rider that takes it: the Adam-echo
+    riders in clients.py step their own allocated update."""
+
+    def test_zero_gradient_fixed_point(self):
+        params = np.array([1.0, 2.0, 3.0])
+        new_params, m, v = adam_step(params, np.zeros(3), np.zeros(3), np.zeros(3), 1, 0.1)
+        assert np.array_equal(new_params, params)
+        assert np.all(m == 0) and np.all(v == 0)
+        # a zero echo is the rider's fixed point too, after exactly one step
+        rider = AnonymousFreeRider(0, 1)
+        out = rider.compute_update(np.zeros(3), np.zeros(3), None, 0.1,
+                                   np.random.default_rng(0))
+        assert np.array_equal(out, np.zeros(3))
+        assert not np.any(rider.m) and not np.any(rider.v)
+        assert rider.steps == 1
+
+    def test_learning_rate_decay(self):
+        rider = AnonymousFreeRider(0, 1)
+        for _ in range(2):
+            rider.compute_update(np.zeros(2), np.ones(2), None, 0.1,
+                                 np.random.default_rng(0))
+        assert rider.rate == pytest.approx(0.015 * 0.997 ** 2, rel=1e-12)
 
 
 class TestBatchedTraining:
