@@ -18,16 +18,32 @@ import numpy as np
 MIN_ACTIVE_FOR_ELIMINATION = 3
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AuditMatrix:
-    """One round's accuracy-divergence reports: entries[auditor][target].
+    """One round's accuracy-divergence reports: reports[i, j] is auditor
+    auditor_ids[i]'s report on the upload of target_ids[j].
 
-    No self-audits (the diagonal is absent) and only non-eliminated,
-    data-holding auditors contribute rows.
+    Only non-eliminated, data-holding auditors have rows. An auditor that is
+    also a target has a report on its own upload in the array, which is not
+    a peer report.
     """
 
     round: int
-    entries: dict[int, dict[int, float]] = field(default_factory=dict)
+    auditor_ids: tuple[int, ...] = ()
+    target_ids: tuple[int, ...] = ()
+    reports: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+
+    @property
+    def entries(self) -> dict[int, dict[int, float]]:
+        """The peer reports as entries[auditor][target], rows and items in
+        array order: no self-audit, and no row for an auditor whose only
+        target is itself."""
+        entries = {}
+        for auditor, row in zip(self.auditor_ids, self.reports.tolist()):
+            peers = {t: r for t, r in zip(self.target_ids, row) if t != auditor}
+            if peers:
+                entries[auditor] = peers
+        return entries
 
 
 @dataclass

@@ -187,36 +187,29 @@ class Simulation:
         """Score the previous round's uploads and eliminate low contributors;
         returns the eliminated ids and the number of peer reports made."""
         uploads_prev, theta_then, theta_before = self._pending_audit
-        auditors = [c for c in self._active_clients() if c.audit_dataset is not None]
-        model = self.config.model
-        alpha = self.config.defense.alpha
+        auditors = [c.id for c in self._active_clients() if c.audit_dataset is not None]
         targets = list(uploads_prev)
         # rows in the order a target-major fill creates them: an auditor's
         # row starts at the first target it audits, so the first target's
-        # own row goes last and a row with no peer target is absent.
-        # contribution_step sums each target's reports in this row order
-        auditors.sort(key=lambda a: a.id == targets[0])
-        # row 0 is theta_then, row j is theta_before + the j-th upload; each
-        # auditor scores the whole stack in one accuracy call
+        # own row goes last. contribution_step sums each target's reports in
+        # this row order
+        auditors.sort(key=lambda a: a == targets[0])
+        # row 0 is theta_then, row j is theta_before + the j-th upload
         uploads = np.stack(list(uploads_prev.values()))
         stack = np.vstack([theta_then, theta_before + uploads])
-        scores = np.reshape([accuracy(stack, model, a.audit_dataset) for a in auditors],
-                            (len(auditors), len(stack)))
-        reports = scores[:, :1] - scores[:, 1:]
-        matrix = AuditMatrix(round=len(self.logs))
-        for a, row in zip(auditors, reports.tolist()):
-            peers = {t: r for t, r in zip(targets, row) if t != a.id}
-            if peers:
-                matrix.entries[a.id] = peers
-        row_of = {a.id: i for i, a in enumerate(auditors)}
-        for target_id, column in zip(targets, reports.T.tolist()):
+        scores = self._in_halves("audit", stack, auditors)
+        matrix = AuditMatrix(len(self.logs), tuple(auditors), tuple(targets),
+                             scores[:, :1] - scores[:, 1:])
+        alpha = self.config.defense.alpha
+        row_of = {a: i for i, a in enumerate(auditors)}
+        for target_id, column in zip(targets, matrix.reports.T.tolist()):
             if target_id in row_of:
                 del column[row_of[target_id]]  # no self-audit
             self.ledger.contributions[target_id] = contribution_step(
                 self.ledger.contributions[target_id], column, alpha)
         self.last_audit_matrix = matrix
         # every auditor scores every upload; its own is not a peer report
-        peer_reports = reports.size - len(row_of.keys() & uploads_prev.keys())
+        peer_reports = matrix.reports.size - len(row_of.keys() & uploads_prev.keys())
         # the cutoff 1/(beta * N) counts the initial roster, so it does not
         # rise as clients are eliminated
         return eliminate_low_contributors(self.ledger, self.config.defense.beta,
@@ -265,28 +258,45 @@ class Simulation:
         return train_clients(params, cfg.model, features, labels, cfg.eta,
                              cfg.local_epochs, perms, cfg.local_batch_size)
 
+    def _audit_scores(self, stack: np.ndarray, ids: list[int]) -> np.ndarray:
+        """The (len(ids), len(stack)) accuracies of every row of the stack on
+        each auditor's audit data, one accuracy call per auditor."""
+        model = self.config.model
+        return np.reshape([accuracy(stack, model, self.clients[a].audit_dataset)
+                           for a in ids], (len(ids), len(stack)))
+
+    def _run_task(self, task: str, arg, ids: list[int]) -> np.ndarray:
+        """One block of a phase's rows, by task name: "train" or "audit"."""
+        fn = self._train_fair if task == "train" else self._audit_scores
+        return fn(arg, ids)
+
+    def _in_halves(self, task: str, arg, ids: list[int]) -> np.ndarray:
+        """The rows _run_task(task, arg, ids) gives, in ids order. While run()
+        holds the round worker and there are at least two ids, the worker
+        computes the rows of the second half from the state it inherited at
+        fork while this process computes the first. Both tasks work per id,
+        so the joined blocks are bitwise the rows of one call."""
+        if self._worker is None or len(ids) < 2:
+            return self._run_task(task, arg, ids)
+        half = len(ids) // 2
+        self._worker.submit(task, arg, ids[half:])
+        return np.concatenate([self._run_task(task, arg, ids[:half]),
+                               self._worker.result()])
+
     def _compute_updates(self, active: list[Client]) -> dict[int, np.ndarray]:
-        """Per-client raw updates; the active fair clients train as one stack,
-        every other client through its compute_update. With a training worker
-        the parent trains the first half of the fair stack while the worker
-        trains the second; train_clients works per client, so the two blocks
-        are bitwise the rows of the whole stack."""
+        """Per-client raw updates; the active fair clients train as one stack
+        (in halves with the round worker), every other client through its
+        compute_update. Each client draws only from its own streams, so the
+        order of the two does not matter."""
         cfg = self.config
-        fair_ids = [c.id for c in active if c.kind == "fair"]
-        local, remote = fair_ids, []
-        if self._worker is not None and len(fair_ids) >= 2:
-            half = len(fair_ids) // 2
-            local, remote = fair_ids[:half], fair_ids[half:]
-            self._worker.submit(self.params, remote)
-        blocks = [self._train_fair(self.params, local)] if local else []
         updates = {c.id: c.compute_update(self.params, self.alloc, cfg.model,
                                           cfg.eta, self.client_rngs[c.id])
                    for c in active if c.kind != "fair"}
-        if remote:
-            blocks.append(self._worker.result())
-        if blocks:
-            for cid, trained in zip(fair_ids, np.concatenate(blocks)):
-                updates[cid] = trained - self.params
+        fair_ids = [c.id for c in active if c.kind == "fair"]
+        if fair_ids:
+            trained = self._in_halves("train", self.params, fair_ids)
+            for cid, row in zip(fair_ids, trained):
+                updates[cid] = row - self.params
         return {c.id: updates[c.id] for c in active}
 
     def run_round(self) -> RoundLog:
@@ -345,10 +355,11 @@ class Simulation:
 
     def run(self) -> ExperimentResult:
         """Run every round. Where _splits_training allows, one forked worker
-        trains half of the fair stack each round; it is joined, and this
-        process's CPU mask restored, before run() returns or raises."""
+        trains half of the fair stack and scores half of the auditors each
+        round; it is joined, and this process's CPU mask restored, before
+        run() returns or raises."""
         if _splits_training(self.config):
-            self._worker = _ForkedWorker("training worker", self._train_fair)
+            self._worker = _ForkedWorker("round worker", self._run_task)
         try:
             for _ in range(self.config.rounds):
                 try:
@@ -383,10 +394,10 @@ def _can_fork() -> bool:
 
 
 def _splits_training(config: ExperimentConfig) -> bool:
-    """Whether Simulation.run() trains half of each round's fair stack in a
-    forked worker: where _can_fork allows, for full-batch training (minibatch
-    shuffles draw from the parent's client streams) and at least two fair
-    clients."""
+    """Whether Simulation.run() forks the round worker, which trains half of
+    each round's fair stack and scores half of its auditors: where _can_fork
+    allows, for full-batch training (minibatch shuffles draw from the
+    parent's client streams) and at least two fair clients."""
     return _can_fork() and config.local_batch_size is None and config.roster.fair >= 2
 
 

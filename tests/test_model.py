@@ -425,7 +425,7 @@ class TestBatchedTraining:
     @pytest.mark.parametrize("hidden", [(), (5,)], ids=["linear", "hidden"])
     @pytest.mark.parametrize("C", [2, 3, 10])
     def test_halves_bitwise_equal_the_whole_stack(self, hidden, C):
-        # the simulator's training worker trains the second half of the fair
+        # the simulator's round worker trains the second half of the fair
         # stack on its own; the two blocks must be the whole stack's rows
         cfg = ModelConfig(3, hidden, 6)
         p0 = init_params(cfg, 3)

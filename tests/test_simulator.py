@@ -475,20 +475,30 @@ class TestAuditMatrix:
                 continue
             uploads, theta_then, theta_before = pending
             seen.append((next(iter(uploads)), len(uploads)))
-            expected = AuditMatrix(round=sim.last_audit_matrix.round)
+            expected = {}
             for target_id, upload in uploads.items():
                 for a in auditors:
                     if a.id != target_id:
-                        row = expected.entries.setdefault(a.id, {})
+                        row = expected.setdefault(a.id, {})
                         row[target_id] = audit_peer_update(
                             a.audit_dataset, cfg.model, theta_then, theta_before, upload)
             entries = sim.last_audit_matrix.entries
             assert log.audit_reports == sum(len(row) for row in entries.values())
             assert selfish <= set(entries)
-            assert list(entries) == list(expected.entries)
-            for auditor, row in expected.entries.items():
+            assert list(entries) == list(expected)
+            for auditor, row in expected.items():
                 assert list(entries[auditor].items()) == list(row.items())
         assert seen == targets_seen
+
+    def test_entries_is_a_read_only_view_of_the_report_array(self):
+        # rows and items in array order, the self-audit dropped, and no row
+        # for an auditor whose only target is itself
+        matrix = AuditMatrix(4, (1, 0), (0, 1), np.array([[0.25, 0.0], [0.5, -0.125]]))
+        assert list(matrix.entries.items()) == [(1, {0: 0.25}), (0, {1: -0.125})]
+        assert AuditMatrix(4, (0,), (0,), np.zeros((1, 1))).entries == {}
+        assert AuditMatrix(round=4).entries == {}
+        with pytest.raises(AttributeError):
+            matrix.entries = {}
 
     def test_audit_wide_tiny_shape_report_count(self):
         # uploads of round t are audited in round t + 1; round-0 uploads never
@@ -550,15 +560,21 @@ def cpus(monkeypatch):
 
 @pytest.fixture
 def submits(monkeypatch):
-    """The fair client ids sent to the training worker, one list per round."""
+    """The (task, ids) sent to the round worker, in order: the fair client
+    ids it trains ("train") and the auditor ids it scores ("audit")."""
     sent = []
     submit = _ForkedWorker.submit
 
-    def record(self, params, ids):
-        sent.append(list(ids))
-        return submit(self, params, ids)
+    def record(self, task, arg, ids):
+        sent.append((task, list(ids)))
+        return submit(self, task, arg, ids)
     monkeypatch.setattr(_ForkedWorker, "submit", record)
     return sent
+
+
+def trained(submits):
+    """The fair client ids of each training request, in order."""
+    return [ids for task, ids in submits if task == "train"]
 
 
 class TestTrainingWorker:
@@ -574,7 +590,7 @@ class TestTrainingWorker:
         assert submits == []
         cpus({0, 1})
         split = run_experiment(cfg)
-        assert {len(ids) for ids in submits} == {2}
+        assert {len(ids) for ids in trained(submits)} == {2}
         assert result_json_text(split) == result_json_text(serial)
         if cfg.defense.kind == "pass":
             # the audit defense eliminates before a round trains
@@ -583,7 +599,7 @@ class TestTrainingWorker:
                 out |= set(log.newly_eliminated)
                 stacks.append(len(set(serial.fair_ids) - out))
             assert {4, 3, 1} <= set(stacks)
-            assert len(submits) == stacks.count(4) + stacks.count(3)
+            assert len(trained(submits)) == stacks.count(4) + stacks.count(3)
 
     def test_building_and_single_rounds_start_no_process(self, cpus, monkeypatch):
         cpus({0, 1})
@@ -592,8 +608,9 @@ class TestTrainingWorker:
             raise AssertionError("forked")
         monkeypatch.setattr(os, "fork", no_fork)
         sim = Simulation(standard_config(fair=4, plain=1, seed=0, rounds=3))
-        sim.run_round()
-        sim.run_round()
+        for _ in range(3):  # round 2 audits
+            sim.run_round()
+        assert sim.last_audit_matrix is not None
         assert multiprocessing.active_children() == []
 
     def test_no_worker_for_minibatch_one_cpu_or_one_fair_client(self, cpus, submits):
@@ -613,7 +630,7 @@ class TestTrainingWorker:
         halted = halting_simulation().run()
         assert halted.halted_early
         assert multiprocessing.active_children() == []
-        assert len(submits) == 3 + 1
+        assert len(trained(submits)) == 3 + 1
 
     def test_no_child_left_after_a_round_raises(self, cpus, submits):
         cpus({0, 1})
@@ -627,12 +644,12 @@ class TestTrainingWorker:
         sim._aggregate = fail
         with pytest.raises(ValueError, match="aggregation failed"):
             sim.run()
-        assert len(submits) == 3
+        assert len(trained(submits)) == 3
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("failure, message", [
-        ("raise", "(?s)training worker failed:.*ValueError: worker half"),
-        ("exit", "training worker exited with code 3"),
+        ("raise", "(?s)round worker failed:.*ValueError: worker half"),
+        ("exit", "round worker exited with code 3"),
     ], ids=["raises", "exits"])
     def test_worker_failure_raises_in_run(self, cpus, monkeypatch, failure, message):
         cpus({0, 1})
@@ -647,6 +664,44 @@ class TestTrainingWorker:
             return train(*args)
         monkeypatch.setattr("fedaudit.simulator.train_clients", train_in_parent_only)
         with pytest.raises(RuntimeError, match=message):
+            run_experiment(standard_config(fair=4, plain=1, seed=0, rounds=3))
+        assert multiprocessing.active_children() == []
+
+
+class TestAuditSplit:
+    def test_split_audit_equals_serial(self, cpus, submits):
+        # the selfish rider 5 audits until round 14; from round 16 on the
+        # auditors are (1, 3, 0), which split 1 / 2
+        cfg = standard_config(fair=4, plain=1, selfish=1, seed=1, rounds=18)
+        runs = []
+        for mask in ({0}, {0, 1}):
+            cpus(mask)
+            sim = Simulation(cfg)
+            runs.append((result_json_text(sim.run()), sim.last_audit_matrix))
+        (serial_text, serial), (split_text, split) = runs
+        assert split_text == serial_text
+        assert ((split.round, split.auditor_ids, split.target_ids)
+                == (serial.round, serial.auditor_ids, serial.target_ids)
+                == (17, (1, 3, 0), (0, 1, 3)))
+        assert split.reports.shape == serial.reports.shape
+        assert split.reports.tobytes() == serial.reports.tobytes()
+        assert ([(a, list(row.items())) for a, row in split.entries.items()]
+                == [(a, list(row.items())) for a, row in serial.entries.items()])
+        audited = [ids for task, ids in submits if task == "audit"]
+        assert [3, 5, 0] in audited
+        assert audited[-1] == [3, 0]
+
+    def test_worker_audit_failure_raises_in_run(self, cpus, monkeypatch):
+        cpus({0, 1})
+        parent = os.getpid()
+        score = simulator.accuracy
+
+        def score_in_parent_only(*args):
+            if os.getpid() != parent:
+                raise ValueError("audit half")
+            return score(*args)
+        monkeypatch.setattr("fedaudit.simulator.accuracy", score_in_parent_only)
+        with pytest.raises(RuntimeError, match="(?s)round worker failed:.*ValueError: audit half"):
             run_experiment(standard_config(fair=4, plain=1, seed=0, rounds=3))
         assert multiprocessing.active_children() == []
 
@@ -819,7 +874,7 @@ class TestGridWorker:
 
 class TestExperimentWorker:
     def test_split_sweep_equals_serial(self, cpus, monkeypatch):
-        # minibatch training forks no training worker, so the one fork is
+        # minibatch training forks no round worker, so the one fork is
         # the experiment worker's
         base = tiny_config(rounds=4, local_batch_size=10)
         sweep = {"beta": [1.25, 2.5], "gamma": [0.0, 0.5]}
