@@ -84,13 +84,7 @@ def generate_synthetic(num_classes: int, input_dim: int, n: int, separation: flo
     means -= means.mean(axis=0)
     # rescale so the closest pair of class means sits exactly `separation` apart
     dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
-    min_dist = dists[~np.eye(num_classes, dtype=bool)].min()
-    if min_dist <= 0:
-        # astronomically unlikely collision of sampled means; nudge apart
-        means += np.eye(num_classes, input_dim)
-        dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
-        min_dist = dists[~np.eye(num_classes, dtype=bool)].min()
-    means *= separation / min_dist
+    means *= separation / dists[~np.eye(num_classes, dtype=bool)].min()
 
     base, extra = divmod(n, num_classes)
     counts = [base + (1 if c < extra else 0) for c in range(num_classes)]

@@ -250,47 +250,52 @@ def backward_soft(params: np.ndarray, config: ModelConfig, features: np.ndarray,
 
 def matching_loss(params: np.ndarray, config: ModelConfig, features: np.ndarray,
                   label_logits: np.ndarray,
-                  observed: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+                  observed: np.ndarray) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """The gradient-matching loss ||backward_soft(x, softmax(z)) - observed||^2
     for (n, input_dim) features x and (n, num_classes) label logits z, with
-    its exact gradients with respect to x and z.
+    its exact gradients with respect to x and z. A (P, d) parameter stack
+    with (P, n, input_dim) features, (P, n, num_classes) logits and (P, d)
+    observed gradients gives the (P,) values and the (P, ...)-stacked
+    gradients of P independent problems, each row bitwise equal to its own
+    call.
 
     Double backprop: reverse mode through _backprop's backward pass (input
     layer first), then through the softmaxes on the logits and on z, then
     back down the tanh forward pass.
     """
     layers = _augmented(params, config)
-    targets = _softmax(label_logits.T)
+    targets = _softmax(np.moveaxis(label_logits, -1, 0))
     hidden, probs, deltas, grads = _backprop(layers, _with_ones(features), targets)
-    # the adjoint below runs row-major, on (n, k) views of the class-first
-    # arrays; numpy lays out a product of a row-major and a column-major
-    # operand row-major, so its class sums keep numpy's pairwise order
-    probs, targets = probs.T, targets.T
+    # the adjoint below runs row-major, on (*lead, n, k) views of the
+    # class-first arrays; numpy lays out a product of a row-major and a
+    # column-major operand row-major, so its class sums keep numpy's
+    # pairwise order
+    probs, targets = np.moveaxis(probs, 0, -1), np.moveaxis(targets, 0, -1)
     residual = _flatten(grads) - observed
-    value = float(np.add.reduce(residual ** 2))
+    value = np.add.reduce(residual ** 2, axis=-1)
     # adjoints of each layer input h_i, and of the running delta; hidden[i]
     # is [h_i, 1], so [h_i, 1] @ [W_bar; b_bar] is h_i @ W_bar + b_bar
     hidden_bar = []
     delta_bar = None
     for i, (wb, wb_bar) in enumerate(zip(layers, _augmented(2.0 * residual, config))):
-        h_bar = deltas[i] @ wb_bar[:-1].T
+        h_bar = deltas[i] @ wb_bar[..., :-1, :].mT
         d_bar = hidden[i] @ wb_bar
         if i > 0:
             # deltas[i-1] = (deltas[i] @ w.T) * (1 - h_i^2)
-            w, h = wb[:-1], hidden[i][:, :-1]
+            w, h = wb[..., :-1, :], hidden[i][..., :-1]
             d_bar += (delta_bar * (1.0 - h ** 2)) @ w
-            h_bar -= 2.0 * delta_bar * (deltas[i] @ w.T) * h
+            h_bar -= 2.0 * delta_bar * (deltas[i] @ w.mT) * h
         hidden_bar.append(h_bar)
         delta_bar = d_bar
     # deltas[-1] = (probs - targets) / n
-    delta_bar /= features.shape[0]
-    out_bar = probs * (delta_bar - np.add.reduce(delta_bar * probs, axis=1, keepdims=True))
-    z_bar = targets * (np.add.reduce(delta_bar * targets, axis=1, keepdims=True) - delta_bar)
+    delta_bar /= features.shape[-2]
+    out_bar = probs * (delta_bar - np.add.reduce(delta_bar * probs, axis=-1, keepdims=True))
+    z_bar = targets * (np.add.reduce(delta_bar * targets, axis=-1, keepdims=True) - delta_bar)
     for i in range(len(layers) - 1, -1, -1):
-        hidden_bar[i] += out_bar @ layers[i][:-1].T
+        hidden_bar[i] += out_bar @ layers[i][..., :-1, :].mT
         if i > 0:
-            out_bar = hidden_bar[i] * (1.0 - hidden[i][:, :-1] ** 2)
-    return value, hidden_bar[0], z_bar
+            out_bar = hidden_bar[i] * (1.0 - hidden[i][..., :-1] ** 2)
+    return value if params.ndim == 2 else float(value), hidden_bar[0], z_bar
 
 
 def epoch_permutations(n: int, epochs: int, rng: np.random.Generator) -> np.ndarray:

@@ -55,6 +55,20 @@ def minimize(fun, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     the time and memory a reconstructing process spends on imports; scipy
     stays a dependency for this one extension.
     """
+    steps = _lbfgsb_steps(x0, lower, upper, maxiter)
+    try:
+        point = next(steps)
+        while True:
+            point = steps.send(fun(point))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _lbfgsb_steps(x0: np.ndarray, lower: np.ndarray, upper: np.ndarray, maxiter: int):
+    """minimize's loop as a generator: it yields each point to evaluate, as
+    a fresh copy, is sent back `(f, gradient)` there, and returns the
+    LBFGSResult. Each generator holds its own `setulb` workspace, so any
+    number of problems can be advanced in lockstep (reconstruct_batch)."""
     setulb = _lbfgsb_core().setulb
     m, pgtol, maxls, maxfun = 10, 1e-5, 20, 15000
     factr = 2.2204460492503131e-09 / np.finfo(float).eps  # scipy's default ftol
@@ -66,7 +80,7 @@ def minimize(fun, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     low, up = np.where(has_lower, lower, 0.0), np.where(has_upper, upper, 0.0)
     x = np.clip(x0, lower, upper)
     x_eval = x.copy()
-    f_eval, g_eval = fun(x_eval.copy())
+    f_eval, g_eval = yield x_eval.copy()
     nfev, nit = 1, 0
     f, g = np.array(0.0), np.zeros(n)
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
@@ -80,7 +94,7 @@ def minimize(fun, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         if task[0] == 3:  # FG: f and g at x, evaluated only where x moved
             if not np.array_equal(x, x_eval):
                 x_eval = x.copy()
-                f_eval, g_eval = fun(x_eval.copy())
+                f_eval, g_eval = yield x_eval.copy()
                 nfev += 1
             f, g = f_eval, g_eval
         elif task[0] == 1:  # NEW_X: an iteration ended
@@ -158,6 +172,45 @@ def reconstruction_mse(raw: Dataset, reconstructed: Dataset) -> float:
     return float(np.mean((raw.features - reconstructed.features) ** 2))
 
 
+def _attack_box(config: ModelConfig, batch_shape: tuple[int, int],
+                iterations: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check a reconstruction's shape and iterations; the box its dummy point
+    u = [features, label logits] lives in: the features stay in [0, 1] like
+    the raw inputs, the label logits are free."""
+    if iterations < 1:
+        raise ValueError("iterations: must be >= 1")
+    n, dim = batch_shape
+    if dim != config.input_dim:
+        raise ValueError("batch_shape feature dim must equal the model input_dim")
+    k = config.num_classes
+    lower = np.concatenate([np.zeros(n * dim), np.full(n * k, -np.inf)])
+    upper = np.concatenate([np.ones(n * dim), np.full(n * k, np.inf)])
+    return lower, upper
+
+
+def _dummy_start(config: ModelConfig, batch_shape: tuple[int, int], seed: int) -> np.ndarray:
+    """The initial dummy point drawn from `seed`: uniform features, standard
+    normal label logits."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(0.0, 1.0, batch_shape)
+    z0 = rng.standard_normal((batch_shape[0], config.num_classes))
+    return np.concatenate([x0.ravel(), z0.ravel()])
+
+
+def _unpack(u: np.ndarray, config: ModelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, input_dim) features and (n, num_classes) label logits of a dummy
+    point, as views; a (P, ...) stack of points gives (P, n, ...) stacks."""
+    split = n * config.input_dim
+    return (u[..., :split].reshape(*u.shape[:-1], n, config.input_dim),
+            u[..., split:].reshape(*u.shape[:-1], n, config.num_classes))
+
+
+def _dummy_batch(u: np.ndarray, config: ModelConfig, n: int) -> Dataset:
+    """The dummy batch of point u, with argmax labels."""
+    x, z = _unpack(u, config, n)
+    return Dataset(x, z.argmax(axis=-1), config.num_classes)
+
+
 def dlg_reconstruct(config: ModelConfig, params: np.ndarray,
                     observed_gradient: np.ndarray, batch_shape: tuple[int, int],
                     iterations: int = 300, seed: int = 0) -> Dataset:
@@ -170,43 +223,72 @@ def dlg_reconstruct(config: ModelConfig, params: np.ndarray,
     argmax labels. Raises ReconstructionDivergedError if the matching loss
     goes non-finite.
     """
-    if iterations < 1:
-        raise ValueError("iterations: must be >= 1")
-    n, dim = batch_shape
-    if dim != config.input_dim:
-        raise ValueError("batch_shape feature dim must equal the model input_dim")
+    lower, upper = _attack_box(config, batch_shape, iterations)
     if observed_gradient.shape != (param_count(config),):
         raise ValueError("observed_gradient does not match the model's parameter count")
-    k = config.num_classes
-    rng = np.random.default_rng(seed)
-    x0 = rng.uniform(0.0, 1.0, (n, dim))
-    z0 = rng.standard_normal((n, k))
-    u0 = np.concatenate([x0.ravel(), z0.ravel()])
-
-    def unpack(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = u[:n * dim].reshape(n, dim)
-        z = u[n * dim:].reshape(n, k)
-        return x, z
-
-    def to_batch(u: np.ndarray) -> Dataset:
-        x, z = unpack(u)
-        return Dataset(x, z.argmax(axis=1), k)
-
+    n = batch_shape[0]
+    u0 = _dummy_start(config, batch_shape, seed)
     last_finite = {"u": u0.copy()}
 
     def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
-        val, x_grad, z_grad = matching_loss(params, config, *unpack(u), observed_gradient)
+        val, x_grad, z_grad = matching_loss(params, config, *_unpack(u, config, n),
+                                            observed_gradient)
         if not math.isfinite(val):
             # minimize's loop has no handler, so this ends the reconstruction
             raise ReconstructionDivergedError(
                 "matching loss went non-finite during reconstruction",
-                to_batch(last_finite["u"]))
+                _dummy_batch(last_finite["u"], config, n))
         last_finite["u"] = u  # minimize passes each point as a fresh copy
         return val, np.concatenate([x_grad.ravel(), z_grad.ravel()])
 
-    # the features stay in [0, 1]; the label logits are free
-    lower = np.concatenate([np.zeros(n * dim), np.full(n * k, -np.inf)])
-    upper = np.concatenate([np.ones(n * dim), np.full(n * k, np.inf)])
     result = minimize(objective, u0, lower, upper, iterations)
     u_final = result.x if np.all(np.isfinite(result.x)) else last_finite["u"]
-    return to_batch(u_final)
+    return _dummy_batch(u_final, config, n)
+
+
+class Reconstruction(NamedTuple):
+    batch: Dataset
+    nit: int
+    nfev: int
+
+
+def reconstruct_batch(config: ModelConfig, params: np.ndarray, observed: np.ndarray,
+                      batch_shape: tuple[int, int], iterations: int,
+                      seeds: list[int]) -> list[Reconstruction | None]:
+    """dlg_reconstruct of P independent problems in lockstep: problem p
+    matches observed[p] at params[p] from seeds[p], both (P, d) stacks.
+
+    Each problem runs its own L-BFGS-B (_lbfgsb_steps); each step advances
+    every problem to its next request and evaluates all pending points in
+    one stacked matching_loss call, whose rows are bitwise those of single
+    calls. So each reconstruction, with its iteration and evaluation counts,
+    is bitwise dlg_reconstruct's. A problem leaves the batch when its solver
+    returns, or as None (diverged) when its matching loss goes non-finite.
+    """
+    lower, upper = _attack_box(config, batch_shape, iterations)
+    if params.shape != observed.shape or observed.shape != (len(seeds), param_count(config)):
+        raise ValueError("params and observed must be (len(seeds), parameter count) stacks")
+    n = batch_shape[0]
+    solvers = [_lbfgsb_steps(_dummy_start(config, batch_shape, seed), lower, upper,
+                             iterations) for seed in seeds]
+    pending = {p: next(solver) for p, solver in enumerate(solvers)}
+    out: list[Reconstruction | None] = [None] * len(seeds)
+    while pending:
+        rows = list(pending)
+        points = np.stack(list(pending.values()))
+        values, x_grads, z_grads = matching_loss(params[rows], config,
+                                                 *_unpack(points, config, n), observed[rows])
+        grads = np.concatenate([x_grads.reshape(len(rows), -1),
+                                z_grads.reshape(len(rows), -1)], axis=-1)
+        pending = {}
+        for p, u, value, grad in zip(rows, points, values, grads):
+            if not math.isfinite(value):
+                continue  # diverged: out[p] stays None
+            try:
+                pending[p] = solvers[p].send((float(value), grad))
+            except StopIteration as stop:
+                x = stop.value.x
+                out[p] = Reconstruction(_dummy_batch(x if np.all(np.isfinite(x)) else u,
+                                                     config, n),
+                                        stop.value.nit, stop.value.nfev)
+    return out

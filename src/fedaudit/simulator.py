@@ -33,8 +33,11 @@ from .defense import (AuditMatrix, ContributionLedger, contribution_step,
                       eliminate_low_contributors, false_positive_rate)
 from .model import (accuracy, backward, epoch_permutations, init_params, param_count,
                     train_clients)
-from .privacy import (ReconstructionDivergedError, apply_privacy, dlg_reconstruct,
-                      reconstruction_mse, DEFENDED_MSE_THRESHOLD)
+from .privacy import (apply_privacy, reconstruct_batch, reconstruction_mse,
+                      DEFENDED_MSE_THRESHOLD)
+# dlg_reconstruct is not called here; perfbench's op_timer and spans.py patch
+# this name, so it stays importable
+from .privacy import dlg_reconstruct  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -570,11 +573,10 @@ class DLGCell:
     source: str = "simulated"
 
 
-def _solve_instance(cfg: DLGExperimentConfig,
-                    seq: np.random.SeedSequence) -> list[float | None]:
-    """Draw one grid instance from its own seed sequence and attack it in
-    every cell, in (noise variance, prune rate) order: the reconstruction
-    MSE per cell, or None where the attack diverged."""
+def _draw_instance(cfg: DLGExperimentConfig, seq: np.random.SeedSequence):
+    """Draw one grid instance from its own seed sequence: its raw batch, its
+    model parameters, the observed gradient of every cell in (noise
+    variance, prune rate) order, and the seed of its dummy initialization."""
     model = cfg.model
     d = param_count(model)
     rng = np.random.default_rng(seq)
@@ -586,22 +588,30 @@ def _solve_instance(cfg: DLGExperimentConfig,
     noise_direction = rng.standard_normal(d)
     masks = {pr: rng.choice(d, size=int(round(pr * d)), replace=False)
              for pr in cfg.prune_rates}
-    dlg_seed = _seed_int(seq.spawn(2)[1])
-
-    mses: list[float | None] = []
+    observed = []
     for nv in cfg.noise_variances:
         for pr in cfg.prune_rates:
-            observed = gradient + np.sqrt(nv) * noise_direction
-            observed[masks[pr]] = 0.0
-            try:
-                rec = dlg_reconstruct(
-                    model, params, observed,
-                    (cfg.batch_samples, cfg.input_dim), cfg.iterations, dlg_seed)
-            except ReconstructionDivergedError:
-                mses.append(None)
-                continue
-            mses.append(reconstruction_mse(raw, rec))
-    return mses
+            cell = gradient + np.sqrt(nv) * noise_direction
+            cell[masks[pr]] = 0.0
+            observed.append(cell)
+    return raw, params, observed, _seed_int(seq.spawn(2)[1])
+
+
+def _solve_instances(cfg: DLGExperimentConfig,
+                     seqs: list[np.random.SeedSequence]) -> list[list[float | None]]:
+    """Attack every cell of each instance, all (instance, cell) problems in
+    one lockstep batch (reconstruct_batch): per instance, the reconstruction
+    MSE per cell, or None where the attack diverged."""
+    instances = [_draw_instance(cfg, seq) for seq in seqs]
+    cells = len(cfg.noise_variances) * len(cfg.prune_rates)
+    recs = reconstruct_batch(
+        cfg.model, np.repeat([params for _, params, _, _ in instances], cells, axis=0),
+        np.array([cell for _, _, observed, _ in instances for cell in observed]),
+        (cfg.batch_samples, cfg.input_dim), cfg.iterations,
+        [seed for *_, seed in instances for _ in range(cells)])
+    return [[None if rec is None else reconstruction_mse(raw, rec.batch)
+             for rec in recs[i * cells:(i + 1) * cells]]
+            for i, (raw, *_) in enumerate(instances)]
 
 
 def run_dlg_experiment(cfg: DLGExperimentConfig) -> list[DLGCell]:
@@ -615,11 +625,12 @@ def run_dlg_experiment(cfg: DLGExperimentConfig) -> list[DLGCell]:
     Instances are independent, each seeded only from its own SeedSequence,
     so where _can_fork allows one forked worker solves the second half of
     them (_map_halves): every cell's MSEs, median and diverged count are
-    bitwise those of one process.
+    bitwise those of one process. Each process solves all the (instance,
+    cell) problems of its half in lockstep (_solve_instances), bitwise equal
+    to one dlg_reconstruct per problem.
     """
-    results = _map_halves(
-        "leakage grid worker", lambda seqs: [_solve_instance(cfg, seq) for seq in seqs],
-        np.random.SeedSequence(cfg.seed).spawn(cfg.instances))
+    results = _map_halves("leakage grid worker", lambda seqs: _solve_instances(cfg, seqs),
+                          np.random.SeedSequence(cfg.seed).spawn(cfg.instances))
 
     keys = [(nv, pr) for nv in cfg.noise_variances for pr in cfg.prune_rates]
     cells = []

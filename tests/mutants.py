@@ -1,11 +1,13 @@
 """Sample operator-swap mutants of src/fedaudit and run the suite on each.
 
-Usage: PYTHONPATH=src python tests/mutants.py SEED COUNT
+Usage: PYTHONPATH=src python tests/mutants.py SEED COUNT [--only FILE[:FIRST-LAST]]...
 
 Every binary + - * /, every comparison < <= > >= == != and every `and`/`or`
 in src/fedaudit (apart from cli.py, __init__.py and __main__.py) is a
 mutation site: + and - swap, * and /, < and <=, > and >=, == and !=, `and`
-and `or`. SEED picks COUNT sites at random. The repository's src/, tests/,
+and `or`. SEED picks COUNT sites at random; each --only keeps the sites of
+one file of src/fedaudit, optionally of its lines FIRST to LAST, so a
+sample can target recently rewritten code. The repository's src/, tests/,
 demos/ and perfbench/ are copied to a temporary directory once; each mutant
 is written into that copy alone, and the tier-1 suite runs there without
 acceptance criteria 1 and 3 (the two slowest), stopping at the first
@@ -80,6 +82,17 @@ def sites(root: Path) -> list[tuple[str, int, int, int, str, str]]:
     return found
 
 
+def only_filter(spec: str):
+    """A site filter from FILE or FILE:FIRST-LAST (lines, inclusive)."""
+    name, _, lines = spec.partition(":")
+    first, _, last = lines.partition("-")
+    try:
+        low, high = (int(first), int(last)) if lines else (1, float("inf"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{spec!r}: lines must be FIRST-LAST") from None
+    return lambda site: site[0] == name and low <= site[1] <= high
+
+
 def run_suite(copy: Path) -> tuple[bool, str]:
     """Whether the suite passes on the copy, and the tail of its output."""
     # no bytecode cache: a swap that keeps the file's size, written within
@@ -98,8 +111,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seed", type=int)
     parser.add_argument("count", type=int)
+    parser.add_argument("--only", type=only_filter, action="append", default=[],
+                        metavar="FILE[:FIRST-LAST]",
+                        help="sample only sites of this file (and line range); repeatable")
     args = parser.parse_args(argv)
-    everything = sites(ROOT)
+    everything = [site for site in sites(ROOT)
+                  if not args.only or any(keep(site) for keep in args.only)]
     chosen = random.Random(args.seed).sample(everything, min(args.count, len(everything)))
     print(f"{len(everything)} sites; seed {args.seed}, {len(chosen)} mutants")
     with tempfile.TemporaryDirectory() as tmp:

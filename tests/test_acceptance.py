@@ -272,3 +272,26 @@ class TestCriterion9:
         assert cli_main(["run", "--config", str(config_path), "--out", str(out2)]) == 0
         assert (out1 / "rounds.csv").read_bytes() == (out2 / "rounds.csv").read_bytes()
         report(9, True, "repeated runs byte-identical (library and CLI)")
+
+
+class TestMajorityRiders:
+    def test_pass_eliminates_every_rider_when_riders_are_the_majority(self):
+        """The paper's majority claim, detection half: with 10 riders of one
+        kind against 5 fair clients, PASS eliminates every rider, for each
+        rider kind, on seeds 0 and 1. The last rider falls in round 18-24
+        (the disguised riders last), so 25 rounds are the shortest run that
+        tests the claim. The FPR is a known defect (0-20% by round 25,
+        40-60% by round 60), printed here and recorded in ROADMAP.md, not
+        asserted."""
+        kinds = ("plain", "anonymous", "disguised", "selfish")
+        seeds = (0, 1)
+        results = run_experiments([standard_config(fair=5, **{kind: 10}, seed=seed,
+                                                   rounds=25)
+                                   for kind in kinds for seed in seeds])
+        dsrs = [result.dsr for result in results]
+        fprs = [result.fpr for result in results]
+        passed = dsrs == [100.0] * len(results)
+        report("majority", passed, f"DSR per (kind, seed) {dsrs} (need 100); "
+               f"FPR {fprs} (not asserted)")
+        for result in results:
+            assert set(result.fr_ids) <= set(result.eliminated)

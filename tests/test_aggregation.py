@@ -61,6 +61,13 @@ class TestFedavg:
         with pytest.raises(AggregationError):
             fedavg([])
 
+    def test_zero_weight_accepted_and_its_update_drops_out(self):
+        kept = [np.array([1.0, -2.0, 4.0]), np.array([3.0, 5.0, -1.0])]
+        dropped = np.array([1e6, -1e6, 7.0])
+        out = fedavg([kept[0], dropped, kept[1]], [1.0, 0.0, 3.0])
+        assert np.array_equal(out, fedavg(kept, [1.0, 3.0]))
+        assert np.array_equal(out, [2.5, 3.25, 0.25])
+
     def test_zero_weights_rejected(self):
         with pytest.raises(AggregationError):
             fedavg([np.ones(2), np.ones(2)], [0.0, 0.0])

@@ -87,7 +87,7 @@ class TestIdx:
             fh.write(struct.pack(">IIII", 0x00000803, 2, 2, 2))
             fh.write(b"\x00" * 5)  # needs 8
         write_idx_labels(lab_path, [0, 1])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(TruncatedFileError, match="expected 8 pixel bytes, found 5"):
             load_idx(img_path, lab_path)
 
 

@@ -100,6 +100,9 @@ SIM_CASES = {
     "initial_contribution": _initial_contribution,
     # criterion 4's scenario: ten fair clients on the easy IID task
     "neutrality": lambda: neutrality_config(seed=1, rounds=6),
+    # riders are the majority: 5 fair clients and 10 anonymous riders on the
+    # full scenario, through the first eliminations (rounds 19 and 20)
+    "majority": lambda: standard_config(fair=5, anonymous=10, seed=0, rounds=21),
 }
 
 # cases built from files the test writes into a temporary directory

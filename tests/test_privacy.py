@@ -15,7 +15,8 @@ from fedaudit.model import (ModelConfig, backward, backward_soft, init_params,
 from fedaudit.privacy import (DEFENDED_MSE_THRESHOLD, PrivacyConfig,
                               PUBLISHED_MSE, PUBLISHED_NOISE_LEVELS,
                               PUBLISHED_PRUNE_RATES, ReconstructionDivergedError,
-                              apply_privacy, dlg_reconstruct, reconstruction_mse)
+                              apply_privacy, dlg_reconstruct, reconstruct_batch,
+                              reconstruction_mse)
 
 
 def single_sample_instance(input_dim=8, num_classes=2, seed=0):
@@ -420,3 +421,150 @@ class TestMatchingLoss:
         expected = np.sum((backward_soft(params, cfg, x, soft) - observed) ** 2)
         value, _, _ = matching_loss(params, cfg, x, z, observed)
         assert abs(value - expected) <= 1e-12 * max(1.0, expected)
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+    @pytest.mark.parametrize("stack", [1, 3, 150])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stacked_rows_equal_single_calls_bitwise(self, hidden, stack, n):
+        cfg, params, x, z, observed = stacked_loss_inputs(hidden, stack, n)
+        values, x_grads, z_grads = matching_loss(params, cfg, x, z, observed)
+        assert values.shape == (stack,)
+        assert x_grads.shape == x.shape and z_grads.shape == z.shape
+        for row in range(stack):
+            value, x_grad, z_grad = matching_loss(params[row], cfg, x[row], z[row],
+                                                  observed[row])
+            assert np.float64(value).tobytes() == values[row].tobytes()
+            assert x_grad.tobytes() == x_grads[row].tobytes()
+            assert z_grad.tobytes() == z_grads[row].tobytes()
+
+    def test_nan_observed_row_leaves_the_other_rows(self):
+        cfg, params, x, z, observed = stacked_loss_inputs((5,), 3, 2)
+        clean = matching_loss(params, cfg, x, z, observed)
+        observed[1, 4] = np.nan
+        poisoned = matching_loss(params, cfg, x, z, observed)
+        assert np.isnan(poisoned[0][1])
+        for clean_part, poisoned_part in zip(clean, poisoned):
+            assert clean_part[[0, 2]].tobytes() == poisoned_part[[0, 2]].tobytes()
+
+
+def stacked_loss_inputs(hidden, stack, n):
+    """Matching-loss inputs for `stack` independent rows on one model."""
+    rng = np.random.default_rng(len(hidden) * 1000 + stack * 10 + n)
+    cfg = ModelConfig(4, hidden, 3)
+    d = param_count(cfg)
+    params = (np.array([init_params(cfg, row) for row in range(stack)])
+              + 0.3 * rng.standard_normal((stack, d)))
+    x = rng.uniform(0, 1, (stack, n, 4))
+    z = rng.standard_normal((stack, n, 3))
+    observed = 0.1 * rng.standard_normal((stack, d))
+    return cfg, params, x, z, observed
+
+
+def lockstep_problems(hidden, n, count):
+    """`count` seeded leakage problems on one model, in reconstruct_batch's
+    form: the (count, d) parameter and observed-gradient stacks (the
+    gradient of a random batch, noised on problems not divisible by 3), the
+    batch shape and the dummy seeds."""
+    cfg = ModelConfig(5, hidden, 3)
+    d = param_count(cfg)
+    params, observed = [], []
+    for problem in range(count):
+        rng = np.random.default_rng(100 + problem)
+        params.append(init_params(cfg, problem))
+        raw = Dataset(rng.uniform(0, 1, (n, 5)), rng.integers(0, 3, n), 3)
+        observed.append(backward(params[-1], cfg, raw)
+                        + (problem % 3) * 0.01 * rng.standard_normal(d))
+    return cfg, np.array(params), np.array(observed), (n, 5), list(range(count))
+
+
+class TestReconstructBatch:
+    """reconstruct_batch solves its problems in lockstep; each must equal its
+    own dlg_reconstruct bitwise, in the batch and in L-BFGS-B's counts."""
+
+    @staticmethod
+    def solve_both(monkeypatch, cfg, params, observed, shape, seeds, iterations):
+        results = []
+        minimize = fedaudit.privacy.minimize
+
+        def recording_minimize(*args):
+            results.append(minimize(*args))
+            return results[-1]
+
+        monkeypatch.setattr(fedaudit.privacy, "minimize", recording_minimize)
+        singles = []
+        for row, seed in enumerate(seeds):
+            try:
+                singles.append(dlg_reconstruct(cfg, params[row], observed[row], shape,
+                                               iterations, seed))
+            except ReconstructionDivergedError:
+                singles.append(None)
+                results.append(None)
+        batch = reconstruct_batch(cfg, params, observed, shape, iterations, seeds)
+        assert len(batch) == len(seeds)
+        for single, result, rec in zip(singles, results, batch):
+            if single is None:
+                assert rec is None
+                continue
+            assert rec.batch.features.tobytes() == single.features.tobytes()
+            assert np.array_equal(rec.batch.labels, single.labels)
+            assert (rec.nit, rec.nfev) == (result.nit, result.nfev)
+        return batch
+
+    @pytest.mark.parametrize("hidden", [(), (3,)])
+    def test_converged_runs_and_bound_endings_equal_single_runs(self, monkeypatch, hidden):
+        batch = self.solve_both(monkeypatch, *lockstep_problems(hidden, 2, 6), 300)
+        assert all(5 < rec.nit < 300 for rec in batch)
+        assert any(np.isin(rec.batch.features, (0.0, 1.0)).any() for rec in batch)
+
+    def test_runs_stopped_by_maxiter_equal_single_runs(self, monkeypatch):
+        batch = self.solve_both(monkeypatch, *lockstep_problems((3,), 1, 4), 5)
+        assert [rec.nit for rec in batch] == [5] * 4
+
+    def test_zero_loss_start_is_one_evaluation(self, monkeypatch):
+        cfg, params, observed, shape, seeds = lockstep_problems((), 2, 3)
+        # problem 1 observes its dummy initialization's own gradient
+        rng = np.random.default_rng(seeds[1])
+        x0 = rng.uniform(0, 1, shape)
+        z0 = rng.standard_normal((shape[0], 3))
+        expd = np.exp(z0 - z0.max(axis=1, keepdims=True))
+        observed[1] = backward_soft(params[1], cfg, x0, expd / expd.sum(axis=1, keepdims=True))
+        batch = self.solve_both(monkeypatch, cfg, params, observed, shape, seeds, 300)
+        assert (batch[1].nit, batch[1].nfev) == (0, 1)
+        assert batch[1].batch.features.tobytes() == x0.tobytes()
+        assert batch[0].nfev > 1 and batch[2].nfev > 1
+
+    def test_problems_diverging_leave_the_rest_unchanged(self, monkeypatch):
+        cfg, params, observed, shape, seeds = lockstep_problems((3,), 1, 4)
+        clean = reconstruct_batch(cfg, params, observed, shape, 300, seeds)
+        # problem 3's loss is NaN from its first evaluation; problem 1's
+        # turns NaN at its sixth, after five finite ones
+        observed[3, 0] = np.nan
+        target, evaluations = observed[1].copy(), []
+
+        def nan_from_sixth(params, config, x, z, observed):
+            value, x_grad, z_grad = matching_loss(params, config, x, z, observed)
+            hit = np.all(observed == target, axis=-1)
+            if hit.any():
+                evaluations.append(1)
+                if len(evaluations) % 6 == 0:
+                    value = np.where(hit, np.nan, value)
+            return value if np.ndim(value) else float(value), x_grad, z_grad
+
+        monkeypatch.setattr(fedaudit.privacy, "matching_loss", nan_from_sixth)
+        batch = self.solve_both(monkeypatch, cfg, params, observed, shape, seeds, 300)
+        assert clean[1].nfev > 6
+        assert len(evaluations) == 12  # six in dlg_reconstruct, six in the batch
+        assert batch[1] is None and batch[3] is None
+        for row in (0, 2):
+            assert batch[row].batch.features.tobytes() == clean[row].batch.features.tobytes()
+            assert (batch[row].nit, batch[row].nfev) == (clean[row].nit, clean[row].nfev)
+
+    def test_stacks_must_match_the_seeds(self):
+        cfg, params, observed, shape, seeds = lockstep_problems((), 1, 2)
+        for bad_params, bad_observed, bad_seeds in ((params, observed[:1], seeds),
+                                                    (params[:1], observed, seeds),
+                                                    (params, observed, seeds + [2])):
+            with pytest.raises(ValueError, match="stacks"):
+                reconstruct_batch(cfg, bad_params, bad_observed, shape, 10, bad_seeds)
+        with pytest.raises(ValueError, match="iterations"):
+            reconstruct_batch(cfg, params, observed, shape, 0, seeds)

@@ -23,7 +23,7 @@ from fedaudit.defense import AuditMatrix, contribution_step
 from fedaudit.model import (ModelConfig, epoch_permutations, init_params, param_count,
                             train_clients)
 from fedaudit import simulator
-from fedaudit.privacy import PrivacyConfig, ReconstructionDivergedError
+from fedaudit.privacy import PrivacyConfig
 from fedaudit.reporting import (dlg_csv_text, dlg_json_text, json_text, result_json_text,
                                 rounds_csv_text, sweep_csv_text)
 from fedaudit.scenarios import standard_config
@@ -377,13 +377,12 @@ class TestDlgGrid:
     def test_json_is_strict_with_null_for_non_finite(self, monkeypatch):
         # the Soteria reference rows have no noise variance and a cell whose
         # every instance diverged has no median: both NaN, both written null
-        reconstruct = simulator.dlg_reconstruct
+        reconstruct = simulator.reconstruct_batch
 
-        def diverge_when_pruned(model, params, observed, shape, iterations, seed):
-            if (observed == 0).any():
-                raise ReconstructionDivergedError("diverged", None)
-            return reconstruct(model, params, observed, shape, iterations, seed)
-        monkeypatch.setattr(simulator, "dlg_reconstruct", diverge_when_pruned)
+        def diverge_when_pruned(model, params, observed, shape, iterations, seeds):
+            recs = reconstruct(model, params, observed, shape, iterations, seeds)
+            return [None if (row == 0).any() else rec for row, rec in zip(observed, recs)]
+        monkeypatch.setattr(simulator, "reconstruct_batch", diverge_when_pruned)
         cells = run_dlg_experiment(tiny_grid(2))
 
         def reject(constant):
@@ -601,6 +600,17 @@ class TestTrainingWorker:
             assert {4, 3, 1} <= set(stacks)
             assert len(trained(submits)) == stacks.count(4) + stacks.count(3)
 
+    def test_two_ids_split_one_each(self, cpus, submits):
+        # the smallest split: of two fair clients and of two auditors, the
+        # worker takes the second
+        cfg = standard_config(fair=2, plain=1, seed=0, rounds=4)
+        cpus({0})
+        serial = run_experiment(cfg)
+        cpus({0, 1})
+        split = run_experiment(cfg)
+        assert result_json_text(split) == result_json_text(serial)
+        assert submits == [("train", [1])] * 2 + [("audit", [0]), ("train", [1])] * 2
+
     def test_building_and_single_rounds_start_no_process(self, cpus, monkeypatch):
         cpus({0, 1})
 
@@ -797,23 +807,23 @@ class TestGridWorker:
     def test_diverged_instances_in_both_halves(self, cpus, monkeypatch):
         # 3 instances: the parent solves the first, the worker the other two
         cfg = tiny_grid(3)
-        reconstruct = simulator.dlg_reconstruct
+        reconstruct = simulator.reconstruct_batch
         seeds = []
 
         def record(*args):
-            seeds.append(args[-1])
+            seeds.extend(args[-1])
             return reconstruct(*args)
         cpus({0})
-        monkeypatch.setattr(simulator, "dlg_reconstruct", record)
+        monkeypatch.setattr(simulator, "reconstruct_batch", record)
         run_dlg_experiment(cfg)
         first, last = seeds[0], seeds[-1]  # the first and the last instance's
 
-        def diverge(model, params, observed, shape, iterations, seed):
+        def diverge(model, params, observed, shape, iterations, batch_seeds):
             # the first instance diverges in its pruned cells, the last in all
-            if seed == last or (seed == first and (observed == 0).any()):
-                raise ReconstructionDivergedError("diverged", None)
-            return reconstruct(model, params, observed, shape, iterations, seed)
-        monkeypatch.setattr(simulator, "dlg_reconstruct", diverge)
+            recs = reconstruct(model, params, observed, shape, iterations, batch_seeds)
+            return [None if seed == last or (seed == first and (row == 0).any()) else rec
+                    for seed, row, rec in zip(batch_seeds, observed, recs)]
+        monkeypatch.setattr(simulator, "reconstruct_batch", diverge)
         serial = run_dlg_experiment(cfg)
         cpus({0, 1})
         split = run_dlg_experiment(cfg)
@@ -836,13 +846,13 @@ class TestGridWorker:
         cpus({0, 4095})
         if ending == "raise":
             parent = os.getpid()
-            reconstruct = simulator.dlg_reconstruct
+            reconstruct = simulator.reconstruct_batch
 
             def fail_in_parent(*args):
                 if os.getpid() == parent:
                     raise ValueError("parent half")
                 return reconstruct(*args)
-            monkeypatch.setattr(simulator, "dlg_reconstruct", fail_in_parent)
+            monkeypatch.setattr(simulator, "reconstruct_batch", fail_in_parent)
             with pytest.raises(ValueError, match="parent half"):
                 run_dlg_experiment(tiny_grid(2))
         else:
@@ -858,7 +868,7 @@ class TestGridWorker:
     def test_worker_failure_raises(self, cpus, monkeypatch, failure, message):
         cpus({0, 1})
         parent = os.getpid()
-        reconstruct = simulator.dlg_reconstruct
+        reconstruct = simulator.reconstruct_batch
 
         def reconstruct_in_parent_only(*args):
             if os.getpid() != parent:
@@ -866,7 +876,7 @@ class TestGridWorker:
                     os._exit(3)
                 raise ValueError("worker half")
             return reconstruct(*args)
-        monkeypatch.setattr(simulator, "dlg_reconstruct", reconstruct_in_parent_only)
+        monkeypatch.setattr(simulator, "reconstruct_batch", reconstruct_in_parent_only)
         with pytest.raises(RuntimeError, match=message):
             run_dlg_experiment(tiny_grid(2))
         assert multiprocessing.active_children() == []
