@@ -43,68 +43,77 @@ class LBFGSResult(NamedTuple):
 def minimize(fun, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
              maxiter: int) -> LBFGSResult:
     """L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) on `fun(x) -> (f, gradient)`
-    over the box [lower, upper], ±inf marking a free side.
-
-    Drives scipy's compiled core, `setulb`, step for step as scipy 1.17's
+    over the box [lower, upper], ±inf marking a free side: _lbfgsb's
+    one-problem case. The same x, fun, nit and nfev, bitwise, as scipy 1.17's
     `minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=...,
-    options={"maxiter": maxiter})` does, without that wrapper's bookkeeping
-    around each evaluation: the same x, fun, nit and nfev, bitwise (the oracle
-    test in tests/test_privacy.py holds it to that). `fun` is called once per
-    distinct point, with a fresh copy of it. The core is loaded on first use
-    without scipy.optimize's package (`_lbfgsb_core`), which would be most of
-    the time and memory a reconstructing process spends on imports; scipy
-    stays a dependency for this one extension.
-    """
-    steps = _lbfgsb_steps(x0, lower, upper, maxiter)
-    try:
-        point = next(steps)
-        while True:
-            point = steps.send(fun(point))
-    except StopIteration as stop:
-        return stop.value
+    options={"maxiter": maxiter})` (tests/test_privacy.py's oracle test),
+    with `fun` called once per distinct point, on a fresh copy of it."""
+    def evaluate(rows, points, grads):
+        value, grads[0] = fun(points[0])
+        return [value]
+
+    (result,), _ = _lbfgsb(evaluate, x0[None], lower, upper, maxiter, drop_non_finite=False)
+    return result
 
 
-def _lbfgsb_steps(x0: np.ndarray, lower: np.ndarray, upper: np.ndarray, maxiter: int):
-    """minimize's loop as a generator: it yields each point to evaluate, as
-    a fresh copy, is sent back `(f, gradient)` there, and returns the
-    LBFGSResult. Each generator holds its own `setulb` workspace, so any
-    number of problems can be advanced in lockstep (reconstruct_batch)."""
+def _lbfgsb(evaluate, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray, maxiter: int,
+            drop_non_finite: bool) -> tuple[list[LBFGSResult | None], np.ndarray]:
+    """L-BFGS-B from each row of x0 (P, n) in lockstep, on scipy's compiled
+    core (_lbfgsb_core) step for step, each problem's workspace a row of
+    arrays allocated once. Each step, `evaluate(rows, points, grads)` returns
+    the values at the pending rows' points (a fresh array) and writes their
+    gradients into grads[rows]; then each pending row calls `setulb` until
+    it asks for a new point or ends. With drop_non_finite, a non-finite value
+    ends its row as None. Returns the results and the last evaluated points."""
     setulb = _lbfgsb_core().setulb
     m, pgtol, maxls, maxfun = 10, 1e-5, 20, 15000
     factr = 2.2204460492503131e-09 / np.finfo(float).eps  # scipy's default ftol
-    n = x0.size
+    problems, n = x0.shape
     has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
     # L-BFGS-B's bound codes: 0 free, 1 lower only, 2 both, 3 upper only
-    nbd = np.where(has_lower, np.where(has_upper, 2, 1),
-                   np.where(has_upper, 3, 0)).astype(np.int32)
+    nbd = np.select([has_lower & has_upper, has_lower, has_upper], [2, 1, 3]).astype(np.int32)
     low, up = np.where(has_lower, lower, 0.0), np.where(has_upper, upper, 0.0)
     x = np.clip(x0, lower, upper)
-    x_eval = x.copy()
-    f_eval, g_eval = yield x_eval.copy()
-    nfev, nit = 1, 0
-    f, g = np.array(0.0), np.zeros(n)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
-    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
-    while True:
-        g = g.astype(np.float64)
-        setulb(m, x, low, up, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave, dsave,
-               maxls, ln_task)
-        if task[0] == 3:  # FG: f and g at x, evaluated only where x moved
-            if not np.array_equal(x, x_eval):
-                x_eval = x.copy()
-                f_eval, g_eval = yield x_eval.copy()
-                nfev += 1
-            f, g = f_eval, g_eval
-        elif task[0] == 1:  # NEW_X: an iteration ended
-            nit += 1
-            if nit >= maxiter:
-                task[:] = 5, 504  # STOP: iteration limit
-            elif nfev > maxfun:
-                task[:] = 5, 502  # STOP: evaluation limit
-        else:
-            return LBFGSResult(x, f, nit, nfev)
+    x_eval, g = x.copy(), np.zeros((problems, n))
+    # wa row by row: freeing one (P, ...) block would raise glibc's mmap threshold
+    wa = [np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m) for _ in range(problems)]
+    iwa, task, ln_task, lsave, isave = (np.zeros((problems, size), np.int32)
+                                        for size in (3 * n, 2, 2, 4, 44))
+    dsave = np.zeros((problems, 29))
+    rows = list(zip(x, x_eval, g, wa, iwa, task, lsave, isave, dsave, ln_task))
+    # != on memoryviews compares doubles as floats (-0.0 equals 0.0, NaN equals
+    # nothing: np.array_equal's test) and indexing gives ints, without numpy calls
+    seen = [tuple(map(memoryview, views)) for views in zip(x, x_eval, task)]
+    nit, nfev = [0] * problems, [1] * problems
+    out: list[LBFGSResult | None] = [None] * problems
+    pending = list(range(problems))
+    while pending:
+        moved = []
+        for p, fp in zip(pending, evaluate(pending, x_eval[pending], g)):
+            if drop_non_finite and not math.isfinite(fp):
+                continue  # diverged: out[p] stays None
+            xp, xp_eval, gp, wa, iwa, task, lsave, isave, dsave, ln_task = rows[p]
+            x_now, x_then, code = seen[p]
+            while True:
+                setulb(m, xp, low, up, nbd, fp, gp, factr, pgtol, wa, iwa, task, lsave,
+                       isave, dsave, maxls, ln_task)
+                if code[0] == 3:  # FG: f and g at x, evaluated only where x moved
+                    if x_now != x_then:
+                        xp_eval[:] = xp
+                        nfev[p] += 1
+                        moved.append(p)
+                        break
+                elif code[0] == 1:  # NEW_X: an iteration ended
+                    nit[p] += 1
+                    if nit[p] >= maxiter:
+                        task[:] = 5, 504  # STOP: iteration limit
+                    elif nfev[p] > maxfun:
+                        task[:] = 5, 502  # STOP: evaluation limit
+                else:
+                    out[p] = LBFGSResult(xp, fp, nit[p], nfev[p])
+                    break
+        pending = moved
+    return out, x_eval
 
 
 def _lbfgsb_core():
@@ -255,40 +264,28 @@ class Reconstruction(NamedTuple):
 def reconstruct_batch(config: ModelConfig, params: np.ndarray, observed: np.ndarray,
                       batch_shape: tuple[int, int], iterations: int,
                       seeds: list[int]) -> list[Reconstruction | None]:
-    """dlg_reconstruct of P independent problems in lockstep: problem p
-    matches observed[p] at params[p] from seeds[p], both (P, d) stacks.
-
-    Each problem runs its own L-BFGS-B (_lbfgsb_steps); each step advances
-    every problem to its next request and evaluates all pending points in
-    one stacked matching_loss call, whose rows are bitwise those of single
-    calls. So each reconstruction, with its iteration and evaluation counts,
-    is bitwise dlg_reconstruct's. A problem leaves the batch when its solver
-    returns, or as None (diverged) when its matching loss goes non-finite.
-    """
+    """dlg_reconstruct of P independent problems in lockstep (_lbfgsb):
+    problem p matches observed[p] at params[p] from seeds[p], both (P, d)
+    stacks, and problems sharing a seed share one draw of their start. Each
+    step is one stacked matching_loss call, each row bitwise its own call,
+    whose gradients go straight into the rows `setulb` reads. So each result,
+    with its iteration and evaluation counts, is bitwise dlg_reconstruct's;
+    a problem whose matching loss goes non-finite is None (diverged)."""
     lower, upper = _attack_box(config, batch_shape, iterations)
     if params.shape != observed.shape or observed.shape != (len(seeds), param_count(config)):
         raise ValueError("params and observed must be (len(seeds), parameter count) stacks")
     n = batch_shape[0]
-    solvers = [_lbfgsb_steps(_dummy_start(config, batch_shape, seed), lower, upper,
-                             iterations) for seed in seeds]
-    pending = {p: next(solver) for p, solver in enumerate(solvers)}
-    out: list[Reconstruction | None] = [None] * len(seeds)
-    while pending:
-        rows = list(pending)
-        points = np.stack(list(pending.values()))
-        values, x_grads, z_grads = matching_loss(params[rows], config,
-                                                 *_unpack(points, config, n), observed[rows])
-        grads = np.concatenate([x_grads.reshape(len(rows), -1),
-                                z_grads.reshape(len(rows), -1)], axis=-1)
-        pending = {}
-        for p, u, value, grad in zip(rows, points, values, grads):
-            if not math.isfinite(value):
-                continue  # diverged: out[p] stays None
-            try:
-                pending[p] = solvers[p].send((float(value), grad))
-            except StopIteration as stop:
-                x = stop.value.x
-                out[p] = Reconstruction(_dummy_batch(x if np.all(np.isfinite(x)) else u,
-                                                     config, n),
-                                        stop.value.nit, stop.value.nfev)
-    return out
+    starts = {seed: _dummy_start(config, batch_shape, seed) for seed in set(seeds)}
+
+    def evaluate(rows, points, grads):
+        x_grads, z_grads = _unpack(grads, config, n)
+        values, x_grads[rows], z_grads[rows] = matching_loss(
+            params[rows], config, *_unpack(points, config, n), observed[rows])
+        return values
+
+    results, evaluated = _lbfgsb(evaluate, np.array([starts[seed] for seed in seeds]),
+                                 lower, upper, iterations, drop_non_finite=True)
+    return [None if result is None else
+            Reconstruction(_dummy_batch(result.x if np.all(np.isfinite(result.x)) else u,
+                                        config, n), result.nit, result.nfev)
+            for result, u in zip(results, evaluated)]

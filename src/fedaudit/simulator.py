@@ -576,11 +576,14 @@ class DLGCell:
 def _draw_instance(cfg: DLGExperimentConfig, seq: np.random.SeedSequence):
     """Draw one grid instance from its own seed sequence: its raw batch, its
     model parameters, the observed gradient of every cell in (noise
-    variance, prune rate) order, and the seed of its dummy initialization."""
+    variance, prune rate) order, and the seed of its dummy initialization;
+    `seq` is left unchanged, so it always draws the same instance."""
     model = cfg.model
     d = param_count(model)
     rng = np.random.default_rng(seq)
-    params = init_params(model, _seed_int(seq.spawn(1)[0]))
+    init_seq, _, dummy_seq = np.random.SeedSequence(
+        seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size).spawn(3)
+    params = init_params(model, _seed_int(init_seq))
     features = rng.uniform(0.0, 1.0, (cfg.batch_samples, cfg.input_dim))
     labels = rng.integers(0, cfg.num_classes, cfg.batch_samples)
     raw = Dataset(features, labels, cfg.num_classes)
@@ -594,7 +597,7 @@ def _draw_instance(cfg: DLGExperimentConfig, seq: np.random.SeedSequence):
             cell = gradient + np.sqrt(nv) * noise_direction
             cell[masks[pr]] = 0.0
             observed.append(cell)
-    return raw, params, observed, _seed_int(seq.spawn(2)[1])
+    return raw, params, observed, _seed_int(dummy_seq)
 
 
 def _solve_instances(cfg: DLGExperimentConfig,
@@ -626,8 +629,8 @@ def run_dlg_experiment(cfg: DLGExperimentConfig) -> list[DLGCell]:
     so where _can_fork allows one forked worker solves the second half of
     them (_map_halves): every cell's MSEs, median and diverged count are
     bitwise those of one process. Each process solves all the (instance,
-    cell) problems of its half in lockstep (_solve_instances), bitwise equal
-    to one dlg_reconstruct per problem.
+    cell) problems of its half in lockstep on stacked `setulb` workspaces
+    (_solve_instances), bitwise equal to one dlg_reconstruct per problem.
     """
     results = _map_halves("leakage grid worker", lambda seqs: _solve_instances(cfg, seqs),
                           np.random.SeedSequence(cfg.seed).spawn(cfg.instances))

@@ -378,6 +378,29 @@ class TestMinimizeOracle:
         self.solve_both((), seed, 300, one_sided=True)
 
 
+def test_minimize_passes_a_non_finite_value_to_the_core_as_scipy_does():
+    # unlike reconstruct_batch, minimize does not stop on a NaN value:
+    # setulb's line search backs off from it, as under scipy's minimize
+    from scipy.optimize import minimize as scipy_minimize
+    fun, u0, lower, upper, _ = matching_problem((), 0)
+
+    def nan_at_third():
+        calls = []
+
+        def objective(u):
+            calls.append(u)
+            value, grad = fun(u)
+            return (np.nan if len(calls) == 3 else value), grad
+        return objective
+    ours = fedaudit.privacy.minimize(nan_at_third(), u0, lower, upper, 300)
+    bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+              for lo, hi in zip(lower, upper)]
+    theirs = scipy_minimize(nan_at_third(), u0, jac=True, method="L-BFGS-B", bounds=bounds)
+    assert np.array_equal(ours.x, theirs.x) and ours.fun == theirs.fun
+    assert (ours.nit, ours.nfev) == (theirs.nit, theirs.nfev)
+    assert ours.nfev > 3
+
+
 class TestMatchingLoss:
     """matching_loss against central differences, in the style of criterion 7."""
 
@@ -519,6 +542,21 @@ class TestReconstructBatch:
     def test_runs_stopped_by_maxiter_equal_single_runs(self, monkeypatch):
         batch = self.solve_both(monkeypatch, *lockstep_problems((3,), 1, 4), 5)
         assert [rec.nit for rec in batch] == [5] * 4
+
+    def test_problems_sharing_a_seed_share_one_draw_not_one_array(self, monkeypatch):
+        # rows 0 and 1 are the same problem from the same seed; one start is
+        # drawn for both, and each row still runs on its own copy of it
+        cfg, params, observed, shape, _ = lockstep_problems((3,), 2, 3)
+        params[1], observed[1] = params[0], observed[0]
+        draws = []
+        dummy_start = fedaudit.privacy._dummy_start
+        monkeypatch.setattr(fedaudit.privacy, "_dummy_start",
+                            lambda *args: draws.append(args[-1]) or dummy_start(*args))
+        batch = self.solve_both(monkeypatch, cfg, params, observed, shape, [7, 7, 8], 300)
+        assert sorted(draws) == [7, 7, 7, 8, 8]  # three single runs, then two for the batch
+        assert batch[0].batch.features.tobytes() == batch[1].batch.features.tobytes()
+        assert (batch[0].nit, batch[0].nfev) == (batch[1].nit, batch[1].nfev)
+        assert batch[0].nit > 5
 
     def test_zero_loss_start_is_one_evaluation(self, monkeypatch):
         cfg, params, observed, shape, seeds = lockstep_problems((), 2, 3)

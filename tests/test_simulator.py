@@ -374,6 +374,20 @@ class TestDlgGrid:
         b = run_dlg_experiment(cfg)
         assert a == b
 
+    def test_drawing_an_instance_leaves_its_sequence(self):
+        cfg = tiny_grid(1)
+        seqs = np.random.SeedSequence(cfg.seed).spawn(2)
+        first, again = (simulator._draw_instance(cfg, seqs[0]) for _ in range(2))
+        raw, params, observed, seed = first
+        assert seqs[0].n_children_spawned == 0
+        assert raw.features.tobytes() == again[0].features.tobytes()
+        assert np.array_equal(raw.labels, again[0].labels)
+        assert params.tobytes() == again[1].tobytes()
+        assert np.array(observed).tobytes() == np.array(again[2]).tobytes()
+        assert seed == again[3]
+        # so solving the same sequences twice gives the same MSEs
+        assert simulator._solve_instances(cfg, seqs) == simulator._solve_instances(cfg, seqs)
+
     def test_json_is_strict_with_null_for_non_finite(self, monkeypatch):
         # the Soteria reference rows have no noise variance and a cell whose
         # every instance diverged has no median: both NaN, both written null
