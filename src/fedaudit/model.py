@@ -58,78 +58,66 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lead(h: np.ndarray, wb: np.ndarray) -> tuple[int, ...]:
-    """Stack shape of the product h @ wb. Each operand's stack is () or the
-    shared one, so the first non-empty one is it; np.broadcast_shapes costs
-    microseconds a call, which shows on the smallest training steps."""
-    return h.shape[:-2] or wb.shape[:-2]
+def _pairwise_adds(lo: int, hi: int, free: int, adds: list) -> tuple[int, int]:
+    """Append to adds the (a, b, out) operands of the np.add calls that sum
+    rows lo..hi-1 of a class-first buffer in numpy's pairwise order, bitwise
+    equal to np.add.reduce over a row-major class axis, and return the row
+    that holds the sum and the next free row. An operand is a row index, or
+    a slice of eight rows added as one block; rows from free up are
+    scratch. Under 8 terms numpy adds in sequence; up to 128 it keeps eight
+    strided accumulators, adds them as a tree and then the remainder in
+    sequence; above 128 it splits in halves cut at a multiple of 8. The tree
+    adds one pair of rows at a time, which on 8 classes beats adding strided
+    stacks of rows."""
+    k = hi - lo
+    if k == 1:
+        return lo, free
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        left, free = _pairwise_adds(lo, lo + half, free, adds)
+        right, free = _pairwise_adds(lo + half, hi, free, adds)
+        adds.append((left, right, left))
+        return left, free
+    out = free
+    if k < 8:
+        adds.append((lo, lo + 1, out))
+        adds.extend([(out, i, out) for i in range(lo + 2, hi)])
+        return out, free + 1
+    pair, right, acc, free = free + 1, free + 2, lo, free + 3
+    tail = hi - k % 8
+    if k >= 16:  # more than one block of eight: accumulate in scratch rows
+        acc, free = free, free + 8
+        block = slice(acc, free)
+        adds.append((slice(lo, lo + 8), slice(lo + 8, lo + 16), block))
+        adds.extend([(block, slice(i, i + 8), block) for i in range(lo + 16, tail, 8)])
+    adds += [(acc, acc + 1, out), (acc + 2, acc + 3, pair), (out, pair, out),
+             (acc + 4, acc + 5, right), (acc + 6, acc + 7, pair), (right, pair, right),
+             (out, right, out)]
+    adds.extend([(out, i, out) for i in range(tail, hi)])
+    return out, free
 
 
-def _forward(layers, features: np.ndarray) -> list[np.ndarray]:
-    """Layer inputs [x, h1, ...] for [W; b] layers and (n, d + 1) features
-    [x, 1], or for a (C, n, d + 1) stack under (C, ...)-stacked layers.
-    (n, d + 1) features under (T, ...)-stacked layers give (T, n, ...): T
-    parameter vectors scored on one dataset. The output layer's product is
-    the caller's: accuracy and _backprop form class-first logits with
-    _class_first_logits, and the tests' row-major reference loss forms
-    hidden[-1] @ layers[-1], independent of them. Every layer input carries
-    the ones column, so a layer is one matmul. A hidden layer's product is
-    written into the first columns of an array whose last column is 1, and
-    tanh runs there in place, because a second temporary of the output's
-    size costs more than the arithmetic."""
-    hidden = [features]
-    for wb in layers[:-1]:
-        h = hidden[-1]
-        aug = np.empty((*_lead(h, wb), h.shape[-2], wb.shape[-1] + 1))
-        aug[..., -1] = 1.0
-        out = np.matmul(h, wb, out=aug[..., :-1])
-        np.tanh(out, out=out)
-        hidden.append(aug)
-    return hidden
+def _summed_rows(k: int, shape: tuple[int, ...]):
+    """A (rows, *shape) buffer whose first k rows are class rows and the rest
+    scratch, the np.add operands of the class rows' pairwise sum
+    (_pairwise_adds) bound to its rows, and the row that receives the sum."""
+    adds = []
+    total, rows = _pairwise_adds(0, k, k, adds)
+    buf = np.empty((rows, *shape))
+    # the Ellipsis keeps a row of a 1-D buffer a 0-d view, not a copied scalar
+    return (buf, [(buf[a, ...], buf[b, ...], buf[out, ...]) for a, b, out in adds],
+            buf[total, ...])
 
 
 def _class_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the leading (class) axis, bitwise equal to np.add.reduce over
-    a row-major class axis: numpy's pairwise order, replayed on whole class
-    rows. Under 8 terms numpy adds in sequence; up to 128 it keeps eight
-    strided accumulators, adds them as a tree and then the remainder in
-    sequence; above 128 it splits in halves cut at a multiple of 8. The tree
-    adds one pair of rows at a time, which on 8 classes beats adding
-    strided stacks of rows."""
-    k = x.shape[0]
-    if k < 8:
-        return np.add.reduce(x, axis=0)
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        return _class_sum(x[:half]) + _class_sum(x[half:])
-    tail = k - k % 8
-    acc = x
-    if tail > 8:
-        acc = x[:8] + x[8:16]
-        for i in range(16, tail, 8):
-            acc += x[i:i + 8]
-    out = acc[0] + acc[1]
-    out += acc[2] + acc[3]
-    right = acc[4] + acc[5]
-    right += acc[6] + acc[7]
-    out += right
-    for i in range(tail, k):
-        out += x[i]
-    return out
-
-
-def _class_first_logits(h: np.ndarray, wb: np.ndarray) -> np.ndarray:
-    """Output-layer logits of [h, 1] layer input h, written as wb^T h^T into
-    a class-first (k, *lead, n) array. Each stacked (k, n) product goes into
-    the class rows of a (k, C, n) buffer; one unstacked product is that
-    buffer already, and skipping the allocation shows on the leakage
-    attack's single-sample steps."""
-    lead = _lead(h, wb)
-    if not lead:
-        return wb.mT @ h.mT
-    logits = np.empty((wb.shape[-1], *lead, h.shape[-2]))
-    np.matmul(wb.mT, h.mT, out=logits.swapaxes(0, -2))
-    return logits
+    a row-major class axis: the add list of _pairwise_adds, run on fresh
+    buffers."""
+    rows, adds, total = _summed_rows(len(x), x.shape[1:])
+    rows[:len(x)] = x
+    for a, b, out in adds:
+        np.add(a, b, out=out)
+    return total
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -144,39 +132,108 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _backprop(layers, features: np.ndarray, targets: np.ndarray):
-    """Mean cross-entropy against class-first (k, *lead, n) target
-    distributions, backpropagated: layer inputs [[x, 1], [h1, 1], ...],
-    class-first softmax probabilities, per-layer output deltas [d0, d1, ...]
-    and per-layer gradients [h_i, 1]^T d_i, which is [dW; db] in one product.
-    Same rank rules as _forward; lead is the stack shape, at most one axis,
-    and (k, 1, n) targets serve every row of a (T, ...) stack on one dataset.
+class _Forward:
+    """Output logits of [W; b] layers for one stack shape lead (at most one
+    axis) and batch size n, with every buffer and view built once and filled
+    in place on each call. Called on (*lead, n, d + 1) features [x, 1], or
+    on (n, d + 1) features under (T, ...)-stacked layers (T parameter
+    vectors scored on one dataset), it fills the hidden layer inputs
+    [[h1, 1], ...] and the class-first (k, *lead, n) logits. Every layer
+    input carries the ones column, set once, so a layer is one matmul: a
+    hidden layer's product is written into the first columns of its input
+    buffer and tanh runs there in place. The output layer's wb^T h^T goes
+    into the logits' class rows through their swapped view. Every ufunc
+    here and in _Backprop takes its output positionally: on a training
+    step's small arrays, parsing an out= keyword costs a visible share of
+    the call."""
 
-    The output layer is class-first: its logits (_class_first_logits) are a
-    (k, *lead, n) buffer, where the softmax and the output delta
-    (probs - targets) / n are formed. That delta reaches the gradient
-    product as a column-major (*lead, n, k) view; hidden deltas are
-    row-major."""
-    hidden = _forward(layers, features)
-    logits = _class_first_logits(hidden[-1], layers[-1])
-    n = logits.shape[-1]
-    probs = _softmax(logits)
-    np.subtract(probs, targets, out=logits)
-    logits /= n
-    delta = logits.swapaxes(0, -2).mT
-    deltas = [None] * len(layers)
-    grads = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        deltas[i] = delta
-        grads[i] = hidden[i].mT @ delta
-        if i > 0:
-            delta = (delta @ layers[i][..., :-1, :].mT) * (1.0 - hidden[i][..., :-1] ** 2)
-    return hidden, probs, deltas, grads
+    def __init__(self, layers, lead: tuple[int, ...], n: int):
+        self.hidden = []
+        self._layers = []
+        for wb in layers[:-1]:
+            h = np.empty((*lead, n, wb.shape[-1] + 1))
+            h[..., -1] = 1.0
+            self._layers.append((wb, h[..., :-1], h))
+            self.hidden.append(h)
+        self.logits = np.empty((layers[-1].shape[-1], *lead, n))
+        self._wb_t = layers[-1].mT
+        self._logits_t = self.logits.swapaxes(0, -2)
+
+    def __call__(self, features: np.ndarray):
+        h = features
+        for wb, product, h_next in self._layers:
+            np.matmul(h, wb, product)
+            np.tanh(product, product)
+            h = h_next
+        np.matmul(self._wb_t, h.mT, self._logits_t)
+
+
+class _Backprop(_Forward):
+    """Mean cross-entropy against class-first (k, *lead, n) target
+    distributions, backpropagated in place into buffers built once; (k, 1,
+    n) targets serve every row of a (T, ...) stack on one dataset. After a
+    call, hidden holds the layer inputs [[h1, 1], ...] (the features are the
+    caller's), probs the class-first softmax probabilities, deltas the
+    per-layer output deltas [d0, d1, ...] and grads the per-layer gradients
+    [h_i, 1]^T d_i, which is [dW; db] in one product.
+
+    The softmax runs over whole class rows: max, exp, the class sum as the
+    prebuilt np.add list of _pairwise_adds, then divide. The output delta
+    (probs - targets) / n is formed in the logits buffer and reaches the
+    gradient product as a column-major (*lead, n, k) view; hidden deltas
+    are row-major."""
+
+    def __init__(self, layers, lead: tuple[int, ...], n: int):
+        super().__init__(layers, lead, n)
+        k = len(self.logits)
+        rows, self._adds, self._total = _summed_rows(k, (*lead, n))
+        self.probs = rows[:k]
+        self._row_max = np.empty((*lead, n))
+        self._n = n
+        self.grads = [np.empty((*lead, *wb.shape[-2:])) for wb in layers]
+        self.deltas = [np.empty((*lead, n, wb.shape[-1])) for wb in layers[:-1]]
+        self.deltas.append(self._logits_t.mT)
+        # the layers above the first, last first: the operands of each
+        # layer's gradient and of the delta it passes down through tanh
+        self._down = []
+        for i in range(len(layers) - 1, 0, -1):
+            h, below = self.hidden[i - 1], self.deltas[i - 1]
+            self._down.append((h.mT, self.deltas[i], self.grads[i], layers[i][..., :-1, :].mT,
+                               h[..., :-1], np.empty(below.shape), below))
+
+    def __call__(self, features: np.ndarray, targets: np.ndarray):
+        _Forward.__call__(self, features)
+        logits, probs = self.logits, self.probs
+        np.maximum.reduce(logits, 0, None, self._row_max)
+        np.subtract(logits, self._row_max, probs)
+        np.exp(probs, probs)
+        for a, b, out in self._adds:
+            np.add(a, b, out)
+        np.divide(probs, self._total, probs)
+        np.subtract(probs, targets, logits)
+        np.divide(logits, self._n, logits)
+        # (delta @ w^T) * (1 - h^2) for each hidden layer's delta
+        for h_t, delta, grad, w_t, h, slope, below in self._down:
+            np.matmul(h_t, delta, grad)
+            np.matmul(delta, w_t, below)
+            np.multiply(h, h, slope)
+            np.subtract(1.0, slope, slope)
+            np.multiply(below, slope, below)
+        np.matmul(features.mT, self.deltas[0], self.grads[0])
+
+
+def _backprop(layers, features: np.ndarray, targets: np.ndarray):
+    """One call on a fresh _Backprop: layer inputs [[x, 1], [h1, 1], ...],
+    class-first probabilities, deltas and gradients. The stack shape is that
+    of either operand; each one's is () or the shared one."""
+    step = _Backprop(layers, features.shape[:-2] or layers[0].shape[:-2], features.shape[-2])
+    step(features, targets)
+    return [features, *step.hidden], step.probs, step.deltas, step.grads
 
 
 def _grads(layers, features: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
     """Per-layer [dW; db] of mean cross-entropy against class-first
-    (k, *lead, n) target distributions; same rank rules as _forward."""
+    (k, *lead, n) target distributions; same rank rules as _Forward."""
     return _backprop(layers, features, targets)[3]
 
 
@@ -223,9 +280,9 @@ def accuracy(params: np.ndarray, config: ModelConfig,
     bitwise to scoring the rows one at a time. A single vector and a stack
     are both scored on class-first logits by _first_max_hits."""
     _check_batch(config, dataset)
-    layers = _augmented(params, config)
-    h = _forward(layers, _with_ones(dataset.features))[-1]
-    hit = _first_max_hits(_class_first_logits(h, layers[-1]), dataset.labels)
+    forward = _Forward(_augmented(params, config), params.shape[:-1], len(dataset))
+    forward(_with_ones(dataset.features))
+    hit = _first_max_hits(forward.logits, dataset.labels)
     hits = np.add.reduce(hit, axis=-1) / len(dataset)
     return hits if params.ndim == 2 else float(hits)
 
@@ -343,9 +400,15 @@ def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
         batches = ((f[:, s:s + batch_size], t[..., s:s + batch_size])
                    for f, t in gathered for s in range(0, stop, batch_size))
     layers = [np.repeat(wb[None], C, axis=0) for wb in _augmented(params, config)]
+    step = _Backprop(layers, (C,), n if batch_size is None else batch_size)
+    updates = list(zip(layers, step.grads))
+    # a 0-d eta is not converted again on every multiply
+    eta = np.asarray(eta, dtype=np.float64)
     for batch_features, batch_targets in batches:
-        # in place on the repeated copies; bitwise equal to wb - eta * g
-        for wb, g in zip(layers, _grads(layers, batch_features, batch_targets)):
-            g *= eta
-            wb -= g
+        step(batch_features, batch_targets)
+        # g *= eta; wb -= g in place on the repeated copies, bitwise equal to
+        # wb - eta * g
+        for wb, g in updates:
+            np.multiply(g, eta, g)
+            np.subtract(wb, g, wb)
     return _flatten(layers)

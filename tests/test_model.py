@@ -1,17 +1,19 @@
 """Core model: parameter layout, forward/backward and SGD."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from fedaudit import model
 from fedaudit.clients import AnonymousFreeRider
 from fedaudit.data import Dataset, generate_synthetic
-from fedaudit.model import (ModelConfig, _augmented, _backprop, _class_sum, _forward,
-                            _grads, _softmax, _with_ones, accuracy, backward,
-                            backward_soft, epoch_permutations, init_params,
-                            param_count, train_clients)
-from oracles import adam_step, forward_loss
+from fedaudit.model import (ModelConfig, _augmented, _backprop, _class_sum, _grads,
+                            _softmax, _with_ones, accuracy, backward, backward_soft,
+                            epoch_permutations, init_params, param_count, train_clients)
+from oracles import adam_step, forward_loss, row_major_logits, train_per_step
 
 
 def fd_gradient(params, config, batch, step=1e-5):
@@ -183,7 +185,7 @@ class TestForward:
 def argmax_reference_accuracy(params, config, dataset):
     """Fraction of samples whose row-major logits argmax to the label."""
     layers = _augmented(params, config)
-    logits = _forward(layers, _with_ones(dataset.features))[-1] @ layers[-1]
+    logits = row_major_logits(layers, _with_ones(dataset.features))
     return float((np.argmax(logits, axis=-1) == dataset.labels).mean())
 
 
@@ -345,7 +347,7 @@ class TestKernelReductions:
                 features = _with_ones(rng.standard_normal((*lead, n, 4)))
                 targets = np.moveaxis(rng.dirichlet(np.ones(k), (*lead, n)), -1, 0)
                 _, probs, deltas, _ = _backprop(layers, features, targets)
-                logits = _forward(layers, features)[-1] @ layers[-1]
+                logits = row_major_logits(layers, features)
                 assert np.array_equal(probs, np.moveaxis(reference_softmax(logits), -1, 0))
                 for g, delta in zip(_grads(layers, features, targets), deltas):
                     assert g.shape[-1] == delta.shape[-1] and g.shape[:-2] == lead
@@ -493,6 +495,62 @@ class TestBatchedTraining:
                     mini = Dataset(feats[i][idx], labels[i][idx], k)
                     params = params - 0.1 * backward(params, cfg, mini)
             assert np.array_equal(batched[i], params)
+
+    @pytest.mark.parametrize("mode", ["full", "minibatch", "no_epochs"])
+    @pytest.mark.parametrize("C", [1, 3])
+    @pytest.mark.parametrize("k", [2, 8, 9, 17, 130])
+    @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)], ids=["linear", "h5", "h4-3"])
+    def test_bitwise_equals_per_step_oracle(self, hidden, k, C, mode):
+        # the trainer fills one set of buffers on every step; the oracle takes
+        # fresh gradients and fresh layers each step, so a buffer the step
+        # reads after it was overwritten shows; k = 2, 8, 9, 17 and 130 reach
+        # every branch of the pairwise class sum
+        cfg = ModelConfig(4, hidden, k)
+        p0 = init_params(cfg, k)
+        rng = np.random.default_rng(k + C)
+        n, epochs = 11, 0 if mode == "no_epochs" else 3
+        feats = rng.standard_normal((C, n, 4))
+        labels = rng.integers(0, k, (C, n))
+        perms, batch_size = None, None
+        if mode != "full":
+            # 11 samples in batches of 4: each epoch drops its last 3
+            batch_size = 4
+            perms = np.stack([epoch_permutations(n, epochs, np.random.default_rng(i))
+                              for i in range(C)])
+        trained = train_clients(p0, cfg, feats, labels, 0.1, epochs, perms, batch_size)
+        expected = train_per_step(p0, cfg, feats, labels, 0.1, epochs, perms, batch_size)
+        assert trained.tobytes() == expected.tobytes()
+        if mode == "no_epochs":
+            assert trained.tobytes() == np.tile(p0, (C, 1)).tobytes()
+
+    def test_step_buffers_freed_when_training_returns(self, monkeypatch):
+        # the step object is reference-counted away with the call, with no
+        # cycle left for the collector
+        built = []
+
+        class Recorded(model._Backprop):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(model, "_Backprop", Recorded)
+        cfg = ModelConfig(4, (5,), 9)
+        rng = np.random.default_rng(3)
+        C, n, epochs = 2, 8, 2
+        feats = rng.standard_normal((C, n, 4))
+        labels = rng.integers(0, 9, (C, n))
+        perms = np.stack([epoch_permutations(n, epochs, np.random.default_rng(i))
+                          for i in range(C)])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train_clients(init_params(cfg, 0), cfg, feats, labels, 0.1, epochs)
+            train_clients(init_params(cfg, 0), cfg, feats, labels, 0.1, epochs, perms, 3)
+            assert len(built) == 2
+            assert all(ref() is None for ref in built)
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("bad", [-1, 8])
     def test_out_of_range_perms_rejected(self, bad):
