@@ -63,12 +63,13 @@ def _pairwise_adds(lo: int, hi: int, free: int, adds: list) -> tuple[int, int]:
     rows lo..hi-1 of a class-first buffer in numpy's pairwise order, bitwise
     equal to np.add.reduce over a row-major class axis, and return the row
     that holds the sum and the next free row. An operand is a row index, or
-    a slice of eight rows added as one block; rows from free up are
-    scratch. Under 8 terms numpy adds in sequence; up to 128 it keeps eight
-    strided accumulators, adds them as a tree and then the remainder in
-    sequence; above 128 it splits in halves cut at a multiple of 8. The tree
-    adds one pair of rows at a time, which on 8 classes beats adding strided
-    stacks of rows."""
+    a slice of rows added as one block; rows from free up are scratch.
+    Under 8 terms numpy adds in sequence; up to 128 it keeps eight strided
+    accumulators, adds them as a tree and then the remainder in sequence;
+    above 128 it splits in halves cut at a multiple of 8. The tree
+    ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) is three adds, one a
+    level, each of the even rows of a level to its odd rows as two stride-2
+    views: 8 rows to 4, 4 to 2, 2 to 1."""
     k = hi - lo
     if k == 1:
         return lo, free
@@ -83,16 +84,16 @@ def _pairwise_adds(lo: int, hi: int, free: int, adds: list) -> tuple[int, int]:
         adds.append((lo, lo + 1, out))
         adds.extend([(out, i, out) for i in range(lo + 2, hi)])
         return out, free + 1
-    pair, right, acc, free = free + 1, free + 2, lo, free + 3
+    fours, twos, acc, free = free + 1, free + 5, lo, free + 7
     tail = hi - k % 8
     if k >= 16:  # more than one block of eight: accumulate in scratch rows
         acc, free = free, free + 8
         block = slice(acc, free)
         adds.append((slice(lo, lo + 8), slice(lo + 8, lo + 16), block))
         adds.extend([(block, slice(i, i + 8), block) for i in range(lo + 16, tail, 8)])
-    adds += [(acc, acc + 1, out), (acc + 2, acc + 3, pair), (out, pair, out),
-             (acc + 4, acc + 5, right), (acc + 6, acc + 7, pair), (right, pair, right),
-             (out, right, out)]
+    adds += [(slice(acc, acc + 8, 2), slice(acc + 1, acc + 8, 2), slice(fours, fours + 4)),
+             (slice(fours, fours + 4, 2), slice(fours + 1, fours + 4, 2), slice(twos, twos + 2)),
+             (twos, twos + 1, out)]
     adds.extend([(out, i, out) for i in range(tail, hi)])
     return out, free
 
@@ -189,7 +190,8 @@ class _Backprop(_Forward):
         rows, self._adds, self._total = _summed_rows(k, (*lead, n))
         self.probs = rows[:k]
         self._row_max = np.empty((*lead, n))
-        self._n = n
+        # a 0-d n, like train_clients' eta, is not converted again on every divide
+        self._n = np.asarray(n, dtype=np.float64)
         self.grads = [np.empty((*lead, *wb.shape[-2:])) for wb in layers]
         self.deltas = [np.empty((*lead, n, wb.shape[-1])) for wb in layers[:-1]]
         self.deltas.append(self._logits_t.mT)
@@ -359,7 +361,7 @@ def epoch_permutations(n: int, epochs: int, rng: np.random.Generator) -> np.ndar
     """Simple-shuffle schedule: one sample permutation per epoch, (epochs, n).
     One permuted call shuffles the rows in turn, drawing the stream that
     epochs calls to rng.permutation(n) would draw."""
-    return rng.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
+    return rng.permuted(np.repeat(np.arange(n)[None], epochs, axis=0), axis=1)
 
 
 def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
@@ -380,8 +382,11 @@ def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
         raise ValueError("labels must be (C, n)")
     features = _with_ones(features)
     targets = _onehot(labels, config.num_classes)
+    # an epoch's steps, step-major: f[s] is step s's (C, b, d + 1) features
+    # and t[s] its (k, C, b) targets; a full batch is each epoch's only step,
+    # held in a list so that stepping it builds no view
     if batch_size is None:
-        batches = [(features, targets)] * epochs
+        b, f, t = n, [features], [targets]
     else:
         if perms is None or perms.shape != (C, epochs, n):
             raise ValueError("minibatch training needs perms of shape (C, epochs, n)")
@@ -389,26 +394,28 @@ def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
         # client's sample
         if perms.size and not 0 <= perms.min() <= perms.max() < n:
             raise ValueError("perms entries must be sample indices in [0, n)")
-        # one take per epoch on the flattened client axis (cheaper than 2-D
-        # fancy indexing); each step takes views of its batch_size columns
-        stop = n - n % batch_size
-        flat_idx = perms.swapaxes(0, 1)[..., :stop] + np.arange(C)[:, None] * n
+        # one take each of features and targets per epoch on the flattened
+        # client axis (cheaper than 2-D fancy indexing), with indices shaped
+        # (steps, C, b), so that each step's features are one contiguous block
+        b, steps = batch_size, n // batch_size
+        flat_idx = (perms[..., :steps * b].reshape(C, epochs, steps, b).transpose(1, 2, 0, 3)
+                    + np.arange(C)[:, None] * n)
         flat_features = features.reshape(C * n, features.shape[-1])
         flat_targets = targets.reshape(len(targets), C * n)
-        gathered = ((flat_features.take(idx, axis=0), flat_targets.take(idx, axis=1))
-                    for idx in flat_idx)
-        batches = ((f[:, s:s + batch_size], t[..., s:s + batch_size])
-                   for f, t in gathered for s in range(0, stop, batch_size))
     layers = [np.repeat(wb[None], C, axis=0) for wb in _augmented(params, config)]
-    step = _Backprop(layers, (C,), n if batch_size is None else batch_size)
+    step = _Backprop(layers, (C,), b)
     updates = list(zip(layers, step.grads))
     # a 0-d eta is not converted again on every multiply
     eta = np.asarray(eta, dtype=np.float64)
-    for batch_features, batch_targets in batches:
-        step(batch_features, batch_targets)
-        # g *= eta; wb -= g in place on the repeated copies, bitwise equal to
-        # wb - eta * g
-        for wb, g in updates:
-            np.multiply(g, eta, g)
-            np.subtract(wb, g, wb)
+    for e in range(epochs):
+        if batch_size is not None:
+            f = flat_features.take(flat_idx[e], axis=0)
+            t = flat_targets.take(flat_idx[e], axis=1).swapaxes(0, 1)
+        for batch_features, batch_targets in zip(f, t):
+            step(batch_features, batch_targets)
+            # g *= eta; wb -= g in place on the repeated copies, bitwise equal
+            # to wb - eta * g
+            for wb, g in updates:
+                np.multiply(g, eta, g)
+                np.subtract(wb, g, wb)
     return _flatten(layers)

@@ -307,7 +307,7 @@ class TestKernelReductions:
             assert np.array_equal(_softmax(logits), class_first_reference_softmax(logits))
 
     @pytest.mark.parametrize("k", [*range(1, 18), 64, 127, 128, 129, 300])
-    @pytest.mark.parametrize("lead", [(), (1,), (10, 100), (3, 7)])
+    @pytest.mark.parametrize("lead", [(), (1,), (10, 100), (3, 7), (10, 10), (60, 100)])
     def test_class_sum_bitwise_equals_pairwise_reduce(self, k, lead):
         # np.add.reduce over a contiguous last axis is numpy's pairwise sum;
         # terms spread over 20 orders of magnitude, so another order shows
@@ -467,14 +467,18 @@ class TestBatchedTraining:
     @pytest.mark.parametrize("n, batch_size, epochs, hidden, C, k", [
         pytest.param(12, 12, 3, (3,), 3, 6, id="12-12-3"),
         pytest.param(23, 5, 3, (3,), 3, 6, id="23-5-3"),
+        pytest.param(12, 4, 3, (3,), 3, 6, id="12-4-3"),
+        pytest.param(7, 1, 2, (3,), 3, 6, id="7-1-2"),
+        pytest.param(1, 1, 2, (3,), 3, 6, id="1-1-2"),
         pytest.param(10, 4, 0, (3,), 3, 6, id="10-4-0"),
         pytest.param(12, None, 3, (3,), 3, 6, id="12-None-3"),
         pytest.param(12, None, 0, (3,), 3, 6, id="12-None-0"),
         pytest.param(20, 6, 4, (), 5, 5, id="linear-20-6-4"),
     ])
     def test_bitwise_equals_backward_sgd_oracle(self, n, batch_size, epochs, hidden, C, k):
-        # one gather per epoch, sliced per step, against backward + an SGD step
-        # on each client's own minibatches; each epoch's remainder is dropped
+        # one step-major gather per epoch against backward + an SGD step on
+        # each client's own minibatches; each epoch's remainder is dropped, and
+        # batches of 1 and batches that divide n are the reshape's edges
         cfg = ModelConfig(4, hidden, k)
         p0 = init_params(cfg, 2)
         rng = np.random.default_rng(n)
@@ -551,6 +555,14 @@ class TestBatchedTraining:
         finally:
             if enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("shape", [None, (3, 3, 8), (3, 2, 7)], ids=["none", "epochs", "n"])
+    def test_minibatch_needs_perms_of_the_schedule_shape(self, shape):
+        cfg = ModelConfig(4, (), 3)
+        perms = None if shape is None else np.zeros(shape, dtype=int)
+        with pytest.raises(ValueError, match="perms of shape"):
+            train_clients(init_params(cfg, 0), cfg, np.zeros((3, 8, 4)),
+                          np.zeros((3, 8), dtype=int), 0.1, 2, perms, 4)
 
     @pytest.mark.parametrize("bad", [-1, 8])
     def test_out_of_range_perms_rejected(self, bad):
