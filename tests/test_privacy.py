@@ -181,13 +181,31 @@ class TestDlgReconstruct:
         assert (reconstruction_mse(raw, noised)
                 >= 10 * reconstruction_mse(raw, clean))
 
-    def test_non_finite_gradient_diverges_with_last_iterate(self):
+    def test_non_finite_gradient_diverges_with_last_iterate(self, monkeypatch):
+        # the loss turns NaN at its sixth evaluation, so the last finite
+        # iterate is the fifth point evaluated
+        points = []
+
+        def nan_at_sixth(params, config, x, z, observed):
+            points.append(np.array(x))
+            value, x_grad, z_grad = matching_loss(params, config, x, z, observed)
+            return (value * np.nan if len(points) == 6 else value), x_grad, z_grad
+        monkeypatch.setattr(fedaudit.privacy, "matching_loss", nan_at_sixth)
+        cfg, params, _, grad = single_sample_instance(seed=6)
+        with pytest.raises(ReconstructionDivergedError) as err:
+            dlg_reconstruct(cfg, params, grad, (1, 8), iterations=50, seed=0)
+        assert len(points) == 6
+        assert err.value.last_batch.features.shape == (1, 8)
+        assert err.value.last_batch.features.tobytes() == points[4].tobytes()
+
+    def test_non_finite_start_diverges_with_the_start(self):
         cfg, params, _, grad = single_sample_instance(seed=6)
         bad = grad.copy()
         bad[0] = np.nan
         with pytest.raises(ReconstructionDivergedError) as err:
             dlg_reconstruct(cfg, params, bad, (1, 8), iterations=50, seed=0)
-        assert err.value.last_batch.features.shape == (1, 8)
+        start = np.random.default_rng(0).uniform(0.0, 1.0, (1, 8))
+        assert err.value.last_batch.features.tobytes() == start.tobytes()
 
     def test_noise_monotonicity_without_prune(self):
         # median over dlg-init seeds on one fixed instance, non-decreasing in variance
