@@ -41,30 +41,32 @@ class LBFGSResult(NamedTuple):
 
 
 def minimize(fun, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-             maxiter: int) -> LBFGSResult:
+             maxiter: int) -> LBFGSResult | None:
     """L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) on `fun(x) -> (f, gradient)`
     over the box [lower, upper], ±inf marking a free side: _lbfgsb's
     one-problem case. The same x, fun, nit and nfev, bitwise, as scipy 1.17's
     `minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=...,
     options={"maxiter": maxiter})` (tests/test_privacy.py's oracle test),
-    with `fun` called once per distinct point, on a fresh copy of it."""
+    with `fun` called once per distinct point, on a fresh copy of it; None
+    once `fun` returns a non-finite value."""
     def evaluate(rows, points, grads):
         value, grads[0] = fun(points[0])
         return [value]
 
-    (result,), _ = _lbfgsb(evaluate, x0[None], lower, upper, maxiter, drop_non_finite=False)
+    (result,), _ = _lbfgsb(evaluate, x0[None], lower, upper, maxiter)
     return result
 
 
-def _lbfgsb(evaluate, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray, maxiter: int,
-            drop_non_finite: bool) -> tuple[list[LBFGSResult | None], np.ndarray]:
+def _lbfgsb(evaluate, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+            maxiter: int) -> tuple[list[LBFGSResult | None], np.ndarray]:
     """L-BFGS-B from each row of x0 (P, n) in lockstep, on scipy's compiled
     core (_lbfgsb_core) step for step, each problem's workspace a row of
     arrays allocated once. Each step, `evaluate(rows, points, grads)` returns
     the values at the pending rows' points (a fresh array) and writes their
     gradients into grads[rows]; then each pending row calls `setulb` until
-    it asks for a new point or ends. With drop_non_finite, a non-finite value
-    ends its row as None. Returns the results and the last evaluated points."""
+    it asks for a new point or ends. A non-finite value ends its row as None
+    (diverged). Returns the results and each row's last point with a finite
+    value (its start, if it has none)."""
     setulb = _lbfgsb_core().setulb
     m, pgtol, maxls, maxfun = 10, 1e-5, 20, 15000
     factr = 2.2204460492503131e-09 / np.finfo(float).eps  # scipy's default ftol
@@ -89,17 +91,17 @@ def _lbfgsb(evaluate, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray, maxi
     pending = list(range(problems))
     while pending:
         moved = []
-        for p, fp in zip(pending, evaluate(pending, x_eval[pending], g)):
-            if drop_non_finite and not math.isfinite(fp):
+        for p, fp in zip(pending, evaluate(pending, x[pending], g)):
+            if not math.isfinite(fp):
                 continue  # diverged: out[p] stays None
             xp, xp_eval, gp, wa, iwa, task, lsave, isave, dsave, ln_task = rows[p]
+            xp_eval[:] = xp
             x_now, x_then, code = seen[p]
             while True:
                 setulb(m, xp, low, up, nbd, fp, gp, factr, pgtol, wa, iwa, task, lsave,
                        isave, dsave, maxls, ln_task)
                 if code[0] == 3:  # FG: f and g at x, evaluated only where x moved
                     if x_now != x_then:
-                        xp_eval[:] = xp
                         nfev[p] += 1
                         moved.append(p)
                         break
@@ -189,6 +191,8 @@ def _attack_box(config: ModelConfig, batch_shape: tuple[int, int],
     if iterations < 1:
         raise ValueError("iterations: must be >= 1")
     n, dim = batch_shape
+    if n < 1:
+        raise ValueError("batch_shape: must have at least one sample")
     if dim != config.input_dim:
         raise ValueError("batch_shape feature dim must equal the model input_dim")
     k = config.num_classes
@@ -228,49 +232,39 @@ def dlg_reconstruct(config: ModelConfig, params: np.ndarray,
     Dummy features (kept inside the normalized [0,1] box, like the raw
     inputs) and soft labels, drawn from `seed`, are optimized jointly with
     L-BFGS for at most `iterations` iterations, on the matching loss and its
-    exact gradient (model.matching_loss). Returns the final dummy batch with
-    argmax labels. Raises ReconstructionDivergedError if the matching loss
-    goes non-finite.
+    exact gradient (model.matching_loss): reconstruct_batch's one-problem
+    case. Returns the final dummy batch with argmax labels. Raises
+    ReconstructionDivergedError, carrying the last finite iterate's batch,
+    if the matching loss goes non-finite.
     """
-    lower, upper = _attack_box(config, batch_shape, iterations)
     if observed_gradient.shape != (param_count(config),):
         raise ValueError("observed_gradient does not match the model's parameter count")
-    n = batch_shape[0]
-    u0 = _dummy_start(config, batch_shape, seed)
-    last_finite = {"u": u0.copy()}
-
-    def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
-        val, x_grad, z_grad = matching_loss(params, config, *_unpack(u, config, n),
-                                            observed_gradient)
-        if not math.isfinite(val):
-            # minimize's loop has no handler, so this ends the reconstruction
-            raise ReconstructionDivergedError(
-                "matching loss went non-finite during reconstruction",
-                _dummy_batch(last_finite["u"], config, n))
-        last_finite["u"] = u  # minimize passes each point as a fresh copy
-        return val, np.concatenate([x_grad.ravel(), z_grad.ravel()])
-
-    result = minimize(objective, u0, lower, upper, iterations)
-    u_final = result.x if np.all(np.isfinite(result.x)) else last_finite["u"]
-    return _dummy_batch(u_final, config, n)
+    (rec,) = reconstruct_batch(config, params[None], observed_gradient[None], batch_shape,
+                               iterations, [seed])
+    if rec.diverged:
+        raise ReconstructionDivergedError(
+            "matching loss went non-finite during reconstruction", rec.batch)
+    return rec.batch
 
 
 class Reconstruction(NamedTuple):
     batch: Dataset
     nit: int
     nfev: int
+    diverged: bool
 
 
 def reconstruct_batch(config: ModelConfig, params: np.ndarray, observed: np.ndarray,
                       batch_shape: tuple[int, int], iterations: int,
-                      seeds: list[int]) -> list[Reconstruction | None]:
-    """dlg_reconstruct of P independent problems in lockstep (_lbfgsb):
-    problem p matches observed[p] at params[p] from seeds[p], both (P, d)
-    stacks, and problems sharing a seed share one draw of their start. Each
-    step is one stacked matching_loss call, each row bitwise its own call,
-    whose gradients go straight into the rows `setulb` reads. So each result,
-    with its iteration and evaluation counts, is bitwise dlg_reconstruct's;
-    a problem whose matching loss goes non-finite is None (diverged)."""
+                      seeds: list[int]) -> list[Reconstruction]:
+    """P independent reconstructions in lockstep (_lbfgsb): problem p matches
+    observed[p] at params[p] from seeds[p], both (P, d) stacks, and problems
+    sharing a seed share one draw of their start. Each step is one stacked
+    matching_loss call, each row bitwise its own call, whose gradients go
+    straight into the rows `setulb` reads. So each result, with its iteration
+    and evaluation counts, is bitwise that problem's own one-problem batch. A
+    problem whose matching loss goes non-finite is diverged: its batch is its
+    last finite iterate's, and its counts are 0."""
     lower, upper = _attack_box(config, batch_shape, iterations)
     if params.shape != observed.shape or observed.shape != (len(seeds), param_count(config)):
         raise ValueError("params and observed must be (len(seeds), parameter count) stacks")
@@ -283,9 +277,9 @@ def reconstruct_batch(config: ModelConfig, params: np.ndarray, observed: np.ndar
             params[rows], config, *_unpack(points, config, n), observed[rows])
         return values
 
-    results, evaluated = _lbfgsb(evaluate, np.array([starts[seed] for seed in seeds]),
-                                 lower, upper, iterations, drop_non_finite=True)
-    return [None if result is None else
+    results, finite = _lbfgsb(evaluate, np.array([starts[seed] for seed in seeds]),
+                              lower, upper, iterations)
+    return [Reconstruction(_dummy_batch(u, config, n), 0, 0, True) if result is None else
             Reconstruction(_dummy_batch(result.x if np.all(np.isfinite(result.x)) else u,
-                                        config, n), result.nit, result.nfev)
-            for result, u in zip(results, evaluated)]
+                                        config, n), result.nit, result.nfev, False)
+            for result, u in zip(results, finite)]

@@ -612,7 +612,7 @@ def _solve_instances(cfg: DLGExperimentConfig,
         np.array([cell for _, _, observed, _ in instances for cell in observed]),
         (cfg.batch_samples, cfg.input_dim), cfg.iterations,
         [seed for *_, seed in instances for _ in range(cells)])
-    return [[None if rec is None else reconstruction_mse(raw, rec.batch)
+    return [[None if rec.diverged else reconstruction_mse(raw, rec.batch)
              for rec in recs[i * cells:(i + 1) * cells]]
             for i, (raw, *_) in enumerate(instances)]
 

@@ -225,19 +225,17 @@ class TestDlgReconstruct:
     def test_no_finite_difference_evaluations(self, monkeypatch):
         # with the exact gradient L-BFGS-B needs about one evaluation per
         # iteration; a finite-difference estimate would add n*(dim + k) more
-        results = []
-        minimize = fedaudit.privacy.minimize
-
-        def recording_minimize(*args, **kwargs):
-            results.append(minimize(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(fedaudit.privacy, "minimize", recording_minimize)
+        calls = []
+        monkeypatch.setattr(fedaudit.privacy, "matching_loss",
+                            lambda *args: calls.append(args) or matching_loss(*args))
         cfg, params, _, grad = single_sample_instance(seed=3)
+        (rec,) = reconstruct_batch(cfg, params[None], grad[None], (1, 8), 300, [1])
+        assert len(calls) == rec.nfev
+        assert rec.nit > 10
+        assert rec.nfev <= 3 * rec.nit + 5
+        calls.clear()
         dlg_reconstruct(cfg, params, grad, (1, 8), iterations=300, seed=1)
-        (result,) = results
-        assert result.nit > 10
-        assert result.nfev <= 3 * result.nit + 5
+        assert len(calls) == rec.nfev
 
     def test_zero_iterations_rejected(self):
         cfg, params, _, grad = single_sample_instance()
@@ -248,6 +246,12 @@ class TestDlgReconstruct:
         cfg, params, _, grad = single_sample_instance()
         with pytest.raises(ValueError):
             dlg_reconstruct(cfg, params, grad[:-1], (1, 8), iterations=10)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_batch_without_samples_rejected(self, samples):
+        cfg, params, _, grad = single_sample_instance()
+        with pytest.raises(ValueError, match="batch_shape"):
+            dlg_reconstruct(cfg, params, grad, (samples, 8), iterations=5)
 
 
 def run_fresh(code: str) -> list[str]:
@@ -345,14 +349,32 @@ def matching_problem(hidden, seed):
     observed = (backward(params, cfg, raw)
                 + (seed % 3) * 0.01 * rng.standard_normal(param_count(cfg)))
     u0 = np.concatenate([rng.uniform(0, 1, n * dim), rng.standard_normal(n * k)])
+    return (matching_objective(cfg, params, observed, n), u0,
+            *attack_bounds(n, dim, k), n * dim)
+
+
+def matching_objective(cfg, params, observed, n):
+    """The matching loss and its gradient as a function of one flat dummy
+    point u = [features, label logits]."""
+    split = n * cfg.input_dim
 
     def fun(u):
-        val, x_grad, z_grad = matching_loss(params, cfg, u[:n * dim].reshape(n, dim),
-                                            u[n * dim:].reshape(n, k), observed)
+        val, x_grad, z_grad = matching_loss(params, cfg, u[:split].reshape(n, -1),
+                                            u[split:].reshape(n, -1), observed)
         return val, np.concatenate([x_grad.ravel(), z_grad.ravel()])
+    return fun
+
+
+def attack_bounds(n, dim, k):
+    """The attack's box: features in [0, 1], free label logits."""
     lower = np.concatenate([np.zeros(n * dim), np.full(n * k, -np.inf)])
     upper = np.concatenate([np.ones(n * dim), np.full(n * k, np.inf)])
-    return fun, u0, lower, upper, n * dim
+    return lower, upper
+
+
+def scipy_bounds(lower, upper):
+    return [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+            for lo, hi in zip(lower, upper)]
 
 
 class TestMinimizeOracle:
@@ -366,10 +388,8 @@ class TestMinimizeOracle:
         if one_sided:  # the first feature keeps only >= 0, the second <= 1
             lower[1], upper[0] = -np.inf, np.inf
         ours = fedaudit.privacy.minimize(fun, u0, lower, upper, maxiter)
-        bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
-                  for lo, hi in zip(lower, upper)]
-        theirs = scipy_minimize(fun, u0, jac=True, method="L-BFGS-B", bounds=bounds,
-                                options={"maxiter": maxiter})
+        theirs = scipy_minimize(fun, u0, jac=True, method="L-BFGS-B",
+                                bounds=scipy_bounds(lower, upper), options={"maxiter": maxiter})
         assert np.array_equal(ours.x, theirs.x)
         assert ours.fun == theirs.fun
         assert (ours.nit, ours.nfev) == (theirs.nit, theirs.nfev)
@@ -396,27 +416,9 @@ class TestMinimizeOracle:
         self.solve_both((), seed, 300, one_sided=True)
 
 
-def test_minimize_passes_a_non_finite_value_to_the_core_as_scipy_does():
-    # unlike reconstruct_batch, minimize does not stop on a NaN value:
-    # setulb's line search backs off from it, as under scipy's minimize
-    from scipy.optimize import minimize as scipy_minimize
+def test_minimize_returns_none_once_the_value_is_non_finite():
     fun, u0, lower, upper, _ = matching_problem((), 0)
-
-    def nan_at_third():
-        calls = []
-
-        def objective(u):
-            calls.append(u)
-            value, grad = fun(u)
-            return (np.nan if len(calls) == 3 else value), grad
-        return objective
-    ours = fedaudit.privacy.minimize(nan_at_third(), u0, lower, upper, 300)
-    bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
-              for lo, hi in zip(lower, upper)]
-    theirs = scipy_minimize(nan_at_third(), u0, jac=True, method="L-BFGS-B", bounds=bounds)
-    assert np.array_equal(ours.x, theirs.x) and ours.fun == theirs.fun
-    assert (ours.nit, ours.nfev) == (theirs.nit, theirs.nfev)
-    assert ours.nfev > 3
+    assert fedaudit.privacy.minimize(lambda u: (np.nan, fun(u)[1]), u0, lower, upper, 300) is None
 
 
 class TestMatchingLoss:
@@ -519,47 +521,49 @@ def lockstep_problems(hidden, n, count):
 
 
 class TestReconstructBatch:
-    """reconstruct_batch solves its problems in lockstep; each must equal its
-    own dlg_reconstruct bitwise, in the batch and in L-BFGS-B's counts."""
+    """reconstruct_batch solves its problems in lockstep; each row must equal
+    its own one-problem batch bitwise, in the batch, L-BFGS-B's counts and
+    the divergence flag."""
 
     @staticmethod
-    def solve_both(monkeypatch, cfg, params, observed, shape, seeds, iterations):
-        results = []
-        minimize = fedaudit.privacy.minimize
-
-        def recording_minimize(*args):
-            results.append(minimize(*args))
-            return results[-1]
-
-        monkeypatch.setattr(fedaudit.privacy, "minimize", recording_minimize)
-        singles = []
-        for row, seed in enumerate(seeds):
-            try:
-                singles.append(dlg_reconstruct(cfg, params[row], observed[row], shape,
-                                               iterations, seed))
-            except ReconstructionDivergedError:
-                singles.append(None)
-                results.append(None)
+    def solve_both(cfg, params, observed, shape, seeds, iterations):
+        singles = [reconstruct_batch(cfg, params[row:row + 1], observed[row:row + 1], shape,
+                                     iterations, [seed])[0]
+                   for row, seed in enumerate(seeds)]
         batch = reconstruct_batch(cfg, params, observed, shape, iterations, seeds)
         assert len(batch) == len(seeds)
-        for single, result, rec in zip(singles, results, batch):
-            if single is None:
-                assert rec is None
-                continue
-            assert rec.batch.features.tobytes() == single.features.tobytes()
-            assert np.array_equal(rec.batch.labels, single.labels)
-            assert (rec.nit, rec.nfev) == (result.nit, result.nfev)
+        for single, rec in zip(singles, batch):
+            assert rec.batch.features.tobytes() == single.batch.features.tobytes()
+            assert np.array_equal(rec.batch.labels, single.batch.labels)
+            assert (rec.nit, rec.nfev, rec.diverged) == (single.nit, single.nfev,
+                                                         single.diverged)
         return batch
 
     @pytest.mark.parametrize("hidden", [(), (3,)])
-    def test_converged_runs_and_bound_endings_equal_single_runs(self, monkeypatch, hidden):
-        batch = self.solve_both(monkeypatch, *lockstep_problems(hidden, 2, 6), 300)
+    def test_converged_runs_and_bound_endings_equal_single_runs(self, hidden):
+        batch = self.solve_both(*lockstep_problems(hidden, 2, 6), 300)
         assert all(5 < rec.nit < 300 for rec in batch)
         assert any(np.isin(rec.batch.features, (0.0, 1.0)).any() for rec in batch)
 
-    def test_runs_stopped_by_maxiter_equal_single_runs(self, monkeypatch):
-        batch = self.solve_both(monkeypatch, *lockstep_problems((3,), 1, 4), 5)
+    def test_runs_stopped_by_maxiter_equal_single_runs(self):
+        batch = self.solve_both(*lockstep_problems((3,), 1, 4), 5)
         assert [rec.nit for rec in batch] == [5] * 4
+
+    @pytest.mark.parametrize("hidden, n, maxiter", [((), 2, 300), ((3,), 1, 300),
+                                                    ((3,), 2, 5)])
+    def test_each_row_equals_scipy_on_its_own_problem(self, hidden, n, maxiter):
+        from scipy.optimize import minimize as scipy_minimize
+        cfg, params, observed, shape, seeds = lockstep_problems(hidden, n, 4)
+        batch = reconstruct_batch(cfg, params, observed, shape, maxiter, seeds)
+        bounds = scipy_bounds(*attack_bounds(n, 5, 3))
+        for row, (seed, rec) in enumerate(zip(seeds, batch)):
+            theirs = scipy_minimize(matching_objective(cfg, params[row], observed[row], n),
+                                    fedaudit.privacy._dummy_start(cfg, shape, seed),
+                                    jac=True, method="L-BFGS-B", bounds=bounds,
+                                    options={"maxiter": maxiter})
+            assert rec.batch.features.tobytes() == theirs.x[:n * 5].tobytes()
+            assert np.array_equal(rec.batch.labels, theirs.x[n * 5:].reshape(n, 3).argmax(1))
+            assert (rec.nit, rec.nfev, rec.diverged) == (theirs.nit, theirs.nfev, False)
 
     def test_problems_sharing_a_seed_share_one_draw_not_one_array(self, monkeypatch):
         # rows 0 and 1 are the same problem from the same seed; one start is
@@ -570,13 +574,13 @@ class TestReconstructBatch:
         dummy_start = fedaudit.privacy._dummy_start
         monkeypatch.setattr(fedaudit.privacy, "_dummy_start",
                             lambda *args: draws.append(args[-1]) or dummy_start(*args))
-        batch = self.solve_both(monkeypatch, cfg, params, observed, shape, [7, 7, 8], 300)
+        batch = self.solve_both(cfg, params, observed, shape, [7, 7, 8], 300)
         assert sorted(draws) == [7, 7, 7, 8, 8]  # three single runs, then two for the batch
         assert batch[0].batch.features.tobytes() == batch[1].batch.features.tobytes()
         assert (batch[0].nit, batch[0].nfev) == (batch[1].nit, batch[1].nfev)
         assert batch[0].nit > 5
 
-    def test_zero_loss_start_is_one_evaluation(self, monkeypatch):
+    def test_zero_loss_start_is_one_evaluation(self):
         cfg, params, observed, shape, seeds = lockstep_problems((), 2, 3)
         # problem 1 observes its dummy initialization's own gradient
         rng = np.random.default_rng(seeds[1])
@@ -584,7 +588,7 @@ class TestReconstructBatch:
         z0 = rng.standard_normal((shape[0], 3))
         expd = np.exp(z0 - z0.max(axis=1, keepdims=True))
         observed[1] = backward_soft(params[1], cfg, x0, expd / expd.sum(axis=1, keepdims=True))
-        batch = self.solve_both(monkeypatch, cfg, params, observed, shape, seeds, 300)
+        batch = self.solve_both(cfg, params, observed, shape, seeds, 300)
         assert (batch[1].nit, batch[1].nfev) == (0, 1)
         assert batch[1].batch.features.tobytes() == x0.tobytes()
         assert batch[0].nfev > 1 and batch[2].nfev > 1
@@ -595,22 +599,27 @@ class TestReconstructBatch:
         # problem 3's loss is NaN from its first evaluation; problem 1's
         # turns NaN at its sixth, after five finite ones
         observed[3, 0] = np.nan
-        target, evaluations = observed[1].copy(), []
+        target, points = observed[1].copy(), []
 
         def nan_from_sixth(params, config, x, z, observed):
             value, x_grad, z_grad = matching_loss(params, config, x, z, observed)
             hit = np.all(observed == target, axis=-1)
             if hit.any():
-                evaluations.append(1)
-                if len(evaluations) % 6 == 0:
+                points.append(x[hit][0].copy())
+                if len(points) % 6 == 0:
                     value = np.where(hit, np.nan, value)
-            return value if np.ndim(value) else float(value), x_grad, z_grad
+            return value, x_grad, z_grad
 
         monkeypatch.setattr(fedaudit.privacy, "matching_loss", nan_from_sixth)
-        batch = self.solve_both(monkeypatch, cfg, params, observed, shape, seeds, 300)
+        batch = self.solve_both(cfg, params, observed, shape, seeds, 300)
         assert clean[1].nfev > 6
-        assert len(evaluations) == 12  # six in dlg_reconstruct, six in the batch
-        assert batch[1] is None and batch[3] is None
+        assert len(points) == 12  # six in the single run, six in the batch
+        assert [rec.diverged for rec in batch] == [False, True, False, True]
+        # a diverged row's batch is its last finite iterate: problem 1's
+        # fifth point, problem 3's start
+        assert batch[1].batch.features.tobytes() == points[10].tobytes()
+        start = fedaudit.privacy._dummy_start(cfg, shape, seeds[3])[:5]
+        assert batch[3].batch.features.tobytes() == start.tobytes()
         for row in (0, 2):
             assert batch[row].batch.features.tobytes() == clean[row].batch.features.tobytes()
             assert (batch[row].nit, batch[row].nfev) == (clean[row].nit, clean[row].nfev)
@@ -624,3 +633,9 @@ class TestReconstructBatch:
                 reconstruct_batch(cfg, bad_params, bad_observed, shape, 10, bad_seeds)
         with pytest.raises(ValueError, match="iterations"):
             reconstruct_batch(cfg, params, observed, shape, 0, seeds)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_batch_without_samples_rejected(self, samples):
+        cfg, params, observed, _, seeds = lockstep_problems((), 1, 2)
+        with pytest.raises(ValueError, match="batch_shape"):
+            reconstruct_batch(cfg, params, observed, (samples, 5), 10, seeds)

@@ -395,7 +395,8 @@ class TestDlgGrid:
 
         def diverge_when_pruned(model, params, observed, shape, iterations, seeds):
             recs = reconstruct(model, params, observed, shape, iterations, seeds)
-            return [None if (row == 0).any() else rec for row, rec in zip(observed, recs)]
+            return [rec._replace(diverged=True) if (row == 0).any() else rec
+                    for row, rec in zip(observed, recs)]
         monkeypatch.setattr(simulator, "reconstruct_batch", diverge_when_pruned)
         cells = run_dlg_experiment(tiny_grid(2))
 
@@ -835,7 +836,8 @@ class TestGridWorker:
         def diverge(model, params, observed, shape, iterations, batch_seeds):
             # the first instance diverges in its pruned cells, the last in all
             recs = reconstruct(model, params, observed, shape, iterations, batch_seeds)
-            return [None if seed == last or (seed == first and (row == 0).any()) else rec
+            return [rec._replace(diverged=True)
+                    if seed == last or (seed == first and (row == 0).any()) else rec
                     for seed, row, rec in zip(batch_seeds, observed, recs)]
         monkeypatch.setattr(simulator, "reconstruct_batch", diverge)
         serial = run_dlg_experiment(cfg)

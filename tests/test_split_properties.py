@@ -1,4 +1,4 @@
-"""Generated configs as a standing check of the forked splits.
+"""Generated configs as a standing check of the forked splits and the CLI.
 
 Where two CPUs are usable, Simulation.run() trains half of each round's fair
 stack and scores half of its auditors in a forked worker, and
@@ -7,20 +7,27 @@ output bytes must be those of one process. Hypothesis draws tiny run configs
 and leakage grids (derandomized, so every run of the suite checks the same
 examples), and each is run with one usable CPU and with two. The CPU mask is
 patched inside the test body, because hypothesis rejects function-scoped
-fixtures.
+fixtures. A few of the same configs, written as JSON config files, must make
+`fedaudit run` and `fedaudit dlg` write the bytes the reporting functions
+give for the same run.
 """
 
+import dataclasses
+import json
 import os
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from fedaudit import simulator
+from fedaudit import cli, simulator
 from fedaudit.config import (AggregatorConfig, DataConfig, DefenseSettings,
                              ExperimentConfig, RosterConfig)
 from fedaudit.model import ModelConfig
 from fedaudit.privacy import PrivacyConfig
-from fedaudit.reporting import dlg_csv_text, result_json_text
+from fedaudit.reporting import (dlg_csv_text, dlg_json_text, result_json_text,
+                                rounds_csv_text)
 from fedaudit.simulator import DLGExperimentConfig, run_dlg_experiment, run_experiment
 
 SPLITS = settings(derandomize=True, database=None, deadline=None)
@@ -101,3 +108,35 @@ def test_split_grid_equals_serial(grid):
     assert split == serial
     assert serial_forks == []
     assert split_forks == (["leakage grid worker"] if grid.instances >= 2 else [])
+
+
+def cli_files(command: str, config: dict, fmt: str) -> dict[str, bytes]:
+    """The files `fedaudit COMMAND --format FMT` writes for a config file
+    holding `config`, by name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(path), "--out", str(out),
+                         "--format", fmt]) == 0
+        return {file.name: file.read_bytes() for file in out.iterdir()}
+
+
+@settings(SPLITS, max_examples=6)
+@given(run_configs())
+def test_cli_run_writes_the_reporting_bytes(cfg):
+    result = run_experiment(cfg)
+    config = dataclasses.asdict(cfg)
+    assert cli_files("run", config, "csv") == {
+        "rounds.csv": rounds_csv_text(result).encode(),
+        "summary.json": result_json_text(result, include_rounds=False).encode()}
+    assert cli_files("run", config, "json") == {
+        "result.json": result_json_text(result).encode()}
+
+
+@settings(SPLITS, max_examples=6)
+@given(dlg_grids())
+def test_cli_dlg_writes_the_reporting_bytes(grid):
+    cells = run_dlg_experiment(grid)
+    config = {"dlg": dataclasses.asdict(grid)}
+    assert cli_files("dlg", config, "csv") == {"dlg_grid.csv": dlg_csv_text(cells).encode()}
+    assert cli_files("dlg", config, "json") == {"dlg_grid.json": dlg_json_text(cells).encode()}
