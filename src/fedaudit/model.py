@@ -100,24 +100,25 @@ def _pairwise_adds(lo: int, hi: int, free: int, adds: list) -> tuple[int, int]:
 
 def _summed_rows(k: int, shape: tuple[int, ...]):
     """A (rows, *shape) buffer whose first k rows are class rows and the rest
-    scratch, the np.add operands of the class rows' pairwise sum
-    (_pairwise_adds) bound to its rows, and the row that receives the sum."""
+    scratch, the np.add calls of the class rows' pairwise sum
+    (_pairwise_adds) as (ufunc, args) pairs bound to its rows, and the row
+    that receives the sum."""
     adds = []
     total, rows = _pairwise_adds(0, k, k, adds)
     buf = np.empty((rows, *shape))
     # the Ellipsis keeps a row of a 1-D buffer a 0-d view, not a copied scalar
-    return (buf, [(buf[a, ...], buf[b, ...], buf[out, ...]) for a, b, out in adds],
+    return (buf, [(np.add, (buf[a, ...], buf[b, ...], buf[out, ...])) for a, b, out in adds],
             buf[total, ...])
 
 
 def _class_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the leading (class) axis, bitwise equal to np.add.reduce over
-    a row-major class axis: the add list of _pairwise_adds, run on fresh
+    a row-major class axis: the add calls of _summed_rows, run on fresh
     buffers."""
     rows, adds, total = _summed_rows(len(x), x.shape[1:])
     rows[:len(x)] = x
-    for a, b, out in adds:
-        np.add(a, b, out=out)
+    for fn, args in adds:
+        fn(*args)
     return total
 
 
@@ -160,13 +161,19 @@ class _Forward:
         self._wb_t = layers[-1].mT
         self._logits_t = self.logits.swapaxes(0, -2)
 
-    def __call__(self, features: np.ndarray):
-        h = features
+    def calls(self, features: np.ndarray) -> list:
+        """The pass on features as (ufunc, args) pairs bound to this
+        object's buffers and to features: data, built once, that __call__
+        and train_clients' flat program run."""
+        program, h = [], features
         for wb, product, h_next in self._layers:
-            np.matmul(h, wb, product)
-            np.tanh(product, product)
+            program += [(np.matmul, (h, wb, product)), (np.tanh, (product, product))]
             h = h_next
-        np.matmul(self._wb_t, h.mT, self._logits_t)
+        return program + [(np.matmul, (self._wb_t, h.mT, self._logits_t))]
+
+    def __call__(self, *operands: np.ndarray):
+        for fn, args in self.calls(*operands):
+            fn(*args)
 
 
 class _Backprop(_Forward):
@@ -186,42 +193,36 @@ class _Backprop(_Forward):
 
     def __init__(self, layers, lead: tuple[int, ...], n: int):
         super().__init__(layers, lead, n)
-        k = len(self.logits)
-        rows, self._adds, self._total = _summed_rows(k, (*lead, n))
-        self.probs = rows[:k]
-        self._row_max = np.empty((*lead, n))
-        # a 0-d n, like train_clients' eta, is not converted again on every divide
-        self._n = np.asarray(n, dtype=np.float64)
+        k, logits = len(self.logits), self.logits
+        rows, adds, total = _summed_rows(k, (*lead, n))
+        self.probs = probs = rows[:k]
+        row_max = np.empty((*lead, n))
         self.grads = [np.empty((*lead, *wb.shape[-2:])) for wb in layers]
         self.deltas = [np.empty((*lead, n, wb.shape[-1])) for wb in layers[:-1]]
         self.deltas.append(self._logits_t.mT)
-        # the layers above the first, last first: the operands of each
-        # layer's gradient and of the delta it passes down through tanh
-        self._down = []
+        self._softmax = [(np.maximum.reduce, (logits, 0, None, row_max)),
+                         (np.subtract, (logits, row_max, probs)),
+                         (np.exp, (probs, probs)),
+                         *adds,
+                         (np.divide, (probs, total, probs))]
+        # once probs - targets is in the logits buffer: its divide by n (a
+        # 0-d n, like train_clients' eta, is not converted again on every
+        # call), then each layer above the first, last first: its gradient
+        # and the delta it passes down through tanh, (delta @ w^T) * (1 - h^2)
+        self._down = [(np.divide, (logits, np.asarray(n, dtype=np.float64), logits))]
         for i in range(len(layers) - 1, 0, -1):
-            h, below = self.hidden[i - 1], self.deltas[i - 1]
-            self._down.append((h.mT, self.deltas[i], self.grads[i], layers[i][..., :-1, :].mT,
-                               h[..., :-1], np.empty(below.shape), below))
+            h, delta, below = self.hidden[i - 1], self.deltas[i], self.deltas[i - 1]
+            slope = np.empty(below.shape)
+            self._down += [(np.matmul, (h.mT, delta, self.grads[i])),
+                           (np.matmul, (delta, layers[i][..., :-1, :].mT, below)),
+                           (np.multiply, (h[..., :-1],) * 2 + (slope,)),
+                           (np.subtract, (1.0, slope, slope)),
+                           (np.multiply, (below, slope, below))]
 
-    def __call__(self, features: np.ndarray, targets: np.ndarray):
-        _Forward.__call__(self, features)
-        logits, probs = self.logits, self.probs
-        np.maximum.reduce(logits, 0, None, self._row_max)
-        np.subtract(logits, self._row_max, probs)
-        np.exp(probs, probs)
-        for a, b, out in self._adds:
-            np.add(a, b, out)
-        np.divide(probs, self._total, probs)
-        np.subtract(probs, targets, logits)
-        np.divide(logits, self._n, logits)
-        # (delta @ w^T) * (1 - h^2) for each hidden layer's delta
-        for h_t, delta, grad, w_t, h, slope, below in self._down:
-            np.matmul(h_t, delta, grad)
-            np.matmul(delta, w_t, below)
-            np.multiply(h, h, slope)
-            np.subtract(1.0, slope, slope)
-            np.multiply(below, slope, below)
-        np.matmul(features.mT, self.deltas[0], self.grads[0])
+    def calls(self, features: np.ndarray, targets: np.ndarray) -> list:
+        return [*super().calls(features), *self._softmax,
+                (np.subtract, (self.probs, targets, self.logits)), *self._down,
+                (np.matmul, (features.mT, self.deltas[0], self.grads[0]))]
 
 
 def _backprop(layers, features: np.ndarray, targets: np.ndarray):
@@ -323,13 +324,14 @@ def matching_loss(params: np.ndarray, config: ModelConfig, features: np.ndarray,
     back down the tanh forward pass.
     """
     layers = _augmented(params, config)
-    targets = _softmax(np.moveaxis(label_logits, -1, 0))
+    # the axis moves are transposes: np.moveaxis costs several times more
+    targets = _softmax(label_logits.transpose(-1, *range(label_logits.ndim - 1)))
     hidden, probs, deltas, grads = _backprop(layers, _with_ones(features), targets)
     # the adjoint below runs row-major, on (*lead, n, k) views of the
     # class-first arrays; numpy lays out a product of a row-major and a
     # column-major operand row-major, so its class sums keep numpy's
     # pairwise order
-    probs, targets = np.moveaxis(probs, 0, -1), np.moveaxis(targets, 0, -1)
+    probs, targets = (x.transpose(*range(1, x.ndim), 0) for x in (probs, targets))
     residual = _flatten(grads) - observed
     value = np.add.reduce(residual ** 2, axis=-1)
     # adjoints of each layer input h_i, and of the running delta; hidden[i]
@@ -384,9 +386,9 @@ def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
     targets = _onehot(labels, config.num_classes)
     # an epoch's steps, step-major: f[s] is step s's (C, b, d + 1) features
     # and t[s] its (k, C, b) targets; a full batch is each epoch's only step,
-    # held in a list so that stepping it builds no view
+    # on the features and targets themselves
     if batch_size is None:
-        b, f, t = n, [features], [targets]
+        b, f, t = n, features[None], targets[None]
     else:
         if perms is None or perms.shape != (C, epochs, n):
             raise ValueError("minibatch training needs perms of shape (C, epochs, n)")
@@ -396,26 +398,32 @@ def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
             raise ValueError("perms entries must be sample indices in [0, n)")
         # one take each of features and targets per epoch on the flattened
         # client axis (cheaper than 2-D fancy indexing), with indices shaped
-        # (steps, C, b), so that each step's features are one contiguous block
+        # (steps, C, b), into buffers built once; the targets' take is
+        # class-first, (k, steps, C, b), and is copied step-major so that
+        # each step's targets are one contiguous block
         b, steps = batch_size, n // batch_size
         flat_idx = (perms[..., :steps * b].reshape(C, epochs, steps, b).transpose(1, 2, 0, 3)
                     + np.arange(C)[:, None] * n)
         flat_features = features.reshape(C * n, features.shape[-1])
         flat_targets = targets.reshape(len(targets), C * n)
+        f = np.empty((steps, C, b, features.shape[-1]))
+        taken = np.empty((len(targets), steps, C, b))
+        t = np.empty((steps, len(targets), C, b))
     layers = [np.repeat(wb[None], C, axis=0) for wb in _augmented(params, config)]
     step = _Backprop(layers, (C,), b)
-    updates = list(zip(layers, step.grads))
-    # a 0-d eta is not converted again on every multiply
+    # a 0-d eta is not converted again on every multiply; g *= eta; wb -= g
+    # in place on the repeated copies is bitwise equal to wb - eta * g
     eta = np.asarray(eta, dtype=np.float64)
+    update = [call for wb, g in zip(layers, step.grads)
+              for call in ((np.multiply, (g, eta, g)), (np.subtract, (wb, g, wb)))]
+    # every step of an epoch, then its update, as one flat list of bound calls
+    program = [call for s in range(len(f)) for call in step.calls(f[s], t[s]) + update]
     for e in range(epochs):
         if batch_size is not None:
-            f = flat_features.take(flat_idx[e], axis=0)
-            t = flat_targets.take(flat_idx[e], axis=1).swapaxes(0, 1)
-        for batch_features, batch_targets in zip(f, t):
-            step(batch_features, batch_targets)
-            # g *= eta; wb -= g in place on the repeated copies, bitwise equal
-            # to wb - eta * g
-            for wb, g in updates:
-                np.multiply(g, eta, g)
-                np.subtract(wb, g, wb)
+            # mode="clip" keeps take from buffering out (perms are checked above)
+            flat_features.take(flat_idx[e], 0, f, "clip")
+            flat_targets.take(flat_idx[e], 1, taken, "clip")
+            np.copyto(t, taken.swapaxes(0, 1))
+        for fn, args in program:
+            fn(*args)
     return _flatten(layers)

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic outputs."""
 
+import csv
+import io
 import json
 import multiprocessing
 import struct
@@ -231,6 +233,19 @@ class TestSweep:
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "sweep" in capsys.readouterr().err
 
+    def test_roster_without_riders_writes_an_empty_dsr_cell(self, tmp_path):
+        # with no free rider to eliminate the DSR is undefined (None), and
+        # its CSV cell is empty, never the text None
+        payload = {**RUN_CONFIG, "rounds": 2, "roster": {"fair": 4},
+                   "sweep": {"beta": [1.75]}}
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        text = (out / "sweep.csv").read_text()
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == 1 and rows[0]["dsr"] == ""
+        assert "None" not in text
+
 
 class TestDlg:
     def test_dlg_grid_outputs(self, tmp_path):
@@ -285,6 +300,17 @@ class TestDlg:
         path = write_config(tmp_path, {**RUN_CONFIG, "dlg": section})
         assert main(["dlg", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert f"config error: dlg.{key}: " in capsys.readouterr().err
+
+    def test_dlg_batch_larger_than_client_pool_exits_1(self, tmp_path, capsys):
+        # the grid never trains, but dlg still validates the top-level fields
+        payload = {**RUN_CONFIG, "local_batch_size": 21,
+                   "dlg": {"noise_variances": [0.0], "prune_rates": [0.0],
+                           "instances": 1, "iterations": 5}}
+        out = tmp_path / "o"
+        assert main(["dlg", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 1
+        assert "local_batch_size: cannot exceed" in capsys.readouterr().err
+        assert not (out / "dlg_grid.csv").exists()
 
     @pytest.mark.parametrize("section, argv", [({"seed": -1}, []),
                                                ({"seed": "1"}, []),

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -555,6 +556,33 @@ class TestBatchedTraining:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_memory_grows_with_epochs_only_by_the_schedule(self):
+        # the epoch's program runs on buffers built once per call, so 40
+        # epochs peak above 2 by no more than the larger schedule: perms'
+        # flat index array and, as 22 samples leave a remainder, the copy
+        # its reshape makes; one epoch's gathered features (5 steps of
+        # (3, 4, 51)) held per epoch would add 38 x 24 KB
+        cfg = ModelConfig(50, (5,), 3)
+        rng = np.random.default_rng(4)
+        C, n, b = 3, 22, 4
+        feats = rng.standard_normal((C, n, 50))
+        labels = rng.integers(0, 3, (C, n))
+        p0 = init_params(cfg, 0)
+
+        def peak(epochs):
+            perms = np.stack([epoch_permutations(n, epochs, np.random.default_rng(i))
+                              for i in range(C)])
+            train_clients(p0, cfg, feats, labels, 0.1, epochs, perms, b)
+            tracemalloc.start()
+            try:
+                train_clients(p0, cfg, feats, labels, 0.1, epochs, perms, b)
+                return tracemalloc.get_traced_memory()[1], perms.nbytes
+            finally:
+                tracemalloc.stop()
+
+        (short, short_perms), (long, long_perms) = peak(2), peak(40)
+        assert long - short <= 2 * (long_perms - short_perms)
 
     @pytest.mark.parametrize("shape", [None, (3, 3, 8), (3, 2, 7)], ids=["none", "epochs", "n"])
     def test_minibatch_needs_perms_of_the_schedule_shape(self, shape):
