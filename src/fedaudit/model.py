@@ -264,11 +264,11 @@ def _first_max_hits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     hit = np.broadcast_to(is_label[0], best.shape).copy()
     gt = np.empty_like(hit)
     flip = np.empty_like(hit)
-    for c in range(1, len(logits)):
-        np.greater(logits[c], best, out=gt)
-        np.maximum(best, logits[c], out=best)
-        # hit becomes is_label[c] where gt holds, and stays elsewhere
-        np.not_equal(hit, is_label[c], out=flip)
+    for row, label_row in zip(logits[1:], is_label[1:]):
+        np.greater(row, best, gt)
+        np.maximum(best, row, out=best)
+        # hit becomes label_row where gt holds, and stays elsewhere
+        np.not_equal(hit, label_row, flip)
         flip &= gt
         hit ^= flip
     if np.isnan(best).any():
