@@ -399,8 +399,8 @@ def train_clients(params: np.ndarray, config: ModelConfig, features: np.ndarray,
         # one take each of features and targets per epoch on the flattened
         # client axis (cheaper than 2-D fancy indexing), with indices shaped
         # (steps, C, b), into buffers built once; the targets' take is
-        # class-first, (k, steps, C, b), and is copied step-major so that
-        # each step's targets are one contiguous block
+        # class-first, (k, steps, C, b), and is copied step-major, so that
+        # each step's features and targets are one contiguous block each
         b, steps = batch_size, n // batch_size
         flat_idx = (perms[..., :steps * b].reshape(C, epochs, steps, b).transpose(1, 2, 0, 3)
                     + np.arange(C)[:, None] * n)
