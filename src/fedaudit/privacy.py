@@ -280,6 +280,5 @@ def reconstruct_batch(config: ModelConfig, params: np.ndarray, observed: np.ndar
     results, finite = _lbfgsb(evaluate, np.array([starts[seed] for seed in seeds]),
                               lower, upper, iterations)
     return [Reconstruction(_dummy_batch(u, config, n), 0, 0, True) if result is None else
-            Reconstruction(_dummy_batch(result.x if np.all(np.isfinite(result.x)) else u,
-                                        config, n), result.nit, result.nfev, False)
+            Reconstruction(_dummy_batch(result.x, config, n), result.nit, result.nfev, False)
             for result, u in zip(results, finite)]

@@ -121,12 +121,9 @@ class Simulation:
         self.fr_ids = tuple(c.id for c in self.clients if c.kind != "fair")
 
         n = len(self.clients)
-        behavior_seqs = client_seq.spawn(n)
-        privacy_seqs = privacy_seq.spawn(n)
-        self.client_rngs = {c.id: np.random.default_rng(behavior_seqs[i])
-                            for i, c in enumerate(self.clients)}
-        self.privacy_rngs = {c.id: np.random.default_rng(privacy_seqs[i])
-                             for i, c in enumerate(self.clients)}
+        # indexed by client id, which is the client's index in self.clients
+        self.client_rngs = [np.random.default_rng(seq) for seq in client_seq.spawn(n)]
+        self.privacy_rngs = [np.random.default_rng(seq) for seq in privacy_seq.spawn(n)]
 
         initial = config.defense.initial_contribution
         if initial is None:
@@ -137,7 +134,7 @@ class Simulation:
         self.prev_params: np.ndarray | None = None  # params before the last aggregation
         self.dim = param_count(config.model)
         self.alloc: np.ndarray | None = None  # delta allocated this round
-        self._pending_audit = None  # (uploads, theta_at_upload, theta_before_upload)
+        self._pending_audit = None  # (ids, uploads, theta_at_upload, theta_before_upload)
         self.last_audit_matrix: AuditMatrix | None = None
         self._worker: _ForkedWorker | None = None  # set only while run() runs
         self.logs: list[RoundLog] = []
@@ -189,16 +186,14 @@ class Simulation:
     def _consume_audits(self) -> tuple[set[int], int]:
         """Score the previous round's uploads and eliminate low contributors;
         returns the eliminated ids and the number of peer reports made."""
-        uploads_prev, theta_then, theta_before = self._pending_audit
+        targets, uploads, theta_then, theta_before = self._pending_audit
         auditors = [c.id for c in self._active_clients() if c.audit_dataset is not None]
-        targets = list(uploads_prev)
         # rows in the order a target-major fill creates them: an auditor's
         # row starts at the first target it audits, so the first target's
         # own row goes last. contribution_step sums each target's reports in
         # this row order
         auditors.sort(key=lambda a: a == targets[0])
         # row 0 is theta_then, row j is theta_before + the j-th upload
-        uploads = np.stack(list(uploads_prev.values()))
         stack = np.vstack([theta_then, theta_before + uploads])
         scores = self._in_halves("audit", stack, auditors)
         matrix = AuditMatrix(len(self.logs), tuple(auditors), tuple(targets),
@@ -212,26 +207,26 @@ class Simulation:
                 self.ledger.contributions[target_id], column, alpha)
         self.last_audit_matrix = matrix
         # every auditor scores every upload; its own is not a peer report
-        peer_reports = matrix.reports.size - len(row_of.keys() & uploads_prev.keys())
+        peer_reports = matrix.reports.size - len(row_of.keys() & targets)
         # the cutoff 1/(beta * N) counts the initial roster, so it does not
         # rise as clients are eliminated
         return eliminate_low_contributors(self.ledger, self.config.defense.beta,
                                           len(self.clients)), peer_reports
 
-    def _rffl_score(self, uploads: dict[int, np.ndarray], delta: np.ndarray):
-        """Cosine-reputation scores against this round's aggregate; unlike the
-        audit defense, elimination is never suspended."""
+    def _rffl_score(self, ids: list[int], uploads: np.ndarray, delta: np.ndarray):
+        """Cosine-reputation scores of ids[i]'s upload, row i, against this
+        round's aggregate; unlike the audit defense, elimination is never suspended."""
         alpha = self.config.defense.alpha
-        for cid, upload in uploads.items():
+        for cid, upload in zip(ids, uploads):
             self.ledger.contributions[cid] = cosine_contribution_step(
                 self.ledger.contributions[cid], delta, upload, alpha)
         return self.ledger.eliminate_below(1.0 / (3.0 * len(self.clients)))
 
     TRIM_FRACTION = 0.1  # of the uploads trimmed_mean drops per side
 
-    def _aggregate(self, uploads: dict[int, np.ndarray],
-                   active: list[Client]) -> np.ndarray:
-        vectors = [uploads[c.id] for c in active]
+    def _aggregate(self, uploads: np.ndarray, active: list[Client]) -> np.ndarray:
+        """The global delta from the (A, d) uploads, row i being active[i]'s."""
+        vectors = list(uploads)
         kind = self.config.aggregator.kind
         if kind == "fedavg":
             weights = [float(c.declared_samples) for c in active]
@@ -286,21 +281,22 @@ class Simulation:
         return np.concatenate([self._run_task(task, arg, ids[:half]),
                                self._worker.result()])
 
-    def _compute_updates(self, active: list[Client]) -> dict[int, np.ndarray]:
-        """Per-client raw updates; the active fair clients train as one stack
-        (in halves with the round worker), every other client through its
-        compute_update. Each client draws only from its own streams, so the
-        order of the two does not matter."""
+    def _compute_updates(self, active: list[Client]) -> np.ndarray:
+        """The (A, d) raw updates, row i being active[i]'s; the active fair
+        clients train as one stack (in halves with the round worker), every
+        other client through its compute_update. Each client draws only from
+        its own streams, so the order of the two does not matter."""
         cfg = self.config
-        updates = {c.id: c.compute_update(self.params, self.alloc, cfg.model,
-                                          cfg.eta, self.client_rngs[c.id])
-                   for c in active if c.kind != "fair"}
-        fair_ids = [c.id for c in active if c.kind == "fair"]
-        if fair_ids:
-            trained = self._in_halves("train", self.params, fair_ids)
-            for cid, row in zip(fair_ids, trained):
-                updates[cid] = row - self.params
-        return {c.id: updates[c.id] for c in active}
+        updates = np.empty((len(active), self.dim))
+        fair = [i for i, c in enumerate(active) if c.kind == "fair"]
+        if fair:
+            fair_ids = [active[i].id for i in fair]
+            updates[fair] = self._in_halves("train", self.params, fair_ids) - self.params
+        for i, c in enumerate(active):
+            if c.kind != "fair":
+                updates[i] = c.compute_update(self.params, self.alloc, cfg.model,
+                                              cfg.eta, self.client_rngs[c.id])
+        return updates
 
     def run_round(self) -> RoundLog:
         """Run one full round and return its log."""
@@ -308,25 +304,21 @@ class Simulation:
         t = len(self.logs)
         newly: set[int] = set()
         audit_reports = 0
-        if cfg.defense.kind == "pass" and self._pending_audit is not None:
+        if self._pending_audit is not None:  # only the audit defense leaves one
             newly, audit_reports = self._consume_audits()
 
         active = self._active_clients()
         if not active:
             raise AllClientsEliminated("no active clients remain")
 
-        uploads: dict[int, np.ndarray] = {}
-        raw_updates = self._compute_updates(active)
-        for c in active:
-            uploads[c.id] = apply_privacy(raw_updates[c.id], cfg.privacy,
-                                          self.privacy_rngs[c.id])
+        ids = [c.id for c in active]
+        uploads = np.stack([apply_privacy(update, cfg.privacy, self.privacy_rngs[cid])
+                            for cid, update in zip(ids, self._compute_updates(active))])
 
         if self.alloc is not None and cfg.defense.kind == "pass":
             # an echoed allocation applied to prev_params reproduces params
             # bitwise, so its audit reports are exactly zero
-            self._pending_audit = (uploads, self.params, self.prev_params)
-        else:
-            self._pending_audit = None
+            self._pending_audit = (ids, uploads, self.params, self.prev_params)
 
         delta = self._aggregate(uploads, active)
         self.prev_params = self.params
@@ -337,7 +329,7 @@ class Simulation:
         self.alloc = delta
 
         if cfg.defense.kind == "rffl":
-            newly |= self._rffl_score(uploads, delta)
+            newly |= self._rffl_score(ids, uploads, delta)
 
         if cfg.defense.kind == "pass" and t >= 1:
             comm = comm_cost(len(active), cfg.privacy.prune_rate, self.dim)

@@ -1,12 +1,19 @@
-"""Sample operator-swap mutants of src/fedaudit and run the suite on each.
+"""Sample operator-swap and statement-deletion mutants of src/fedaudit and
+run the suite on each.
 
 Usage: PYTHONPATH=src python tests/mutants.py SEED COUNT [--only FILE[:FIRST-LAST]]...
 
-Every binary + - * /, every comparison < <= > >= == != and every `and`/`or`
-in src/fedaudit (apart from cli.py, __init__.py and __main__.py) is a
-mutation site: + and - swap, * and /, < and <=, > and >=, == and !=, `and`
-and `or`. SEED picks COUNT sites at random; each --only keeps the sites of
-one file of src/fedaudit, optionally of its lines FIRST to LAST, so a
+Two operators make the mutation sites of src/fedaudit (apart from cli.py,
+__init__.py and __main__.py). A swap site is every binary + - * /, every
+comparison < <= > >= == != and every `and`/`or`: + and - swap, * and /,
+< and <=, > and >=, == and !=, `and` and `or`. A deletion site is every
+simple statement (an expression, assignment, return, raise, assert, del,
+import, break or continue; not a docstring, a `pass` or a __future__
+import) and every whole body of an `if` or a `for`: the site's bytes are
+replaced by `pass`. A body of one simple statement is one site, not two.
+A site's line is its first. SEED picks COUNT sites at random (a COUNT of
+at least the number of sites runs them all); each --only keeps the sites
+of one file of src/fedaudit, optionally of its lines FIRST to LAST, so a
 sample can target recently rewritten code. The repository's src/, tests/,
 demos/ and perfbench/ are copied to a temporary directory once; each mutant
 is written into that copy alone, and the tier-1 suite runs there without
@@ -37,6 +44,9 @@ SWAPS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"),
          ast.Div: ("/", "*"), ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"),
          ast.Gt: (">", ">="), ast.GtE: (">=", ">"), ast.Eq: ("==", "!="),
          ast.NotEq: ("!=", "=="), ast.And: ("and", "or"), ast.Or: ("or", "and")}
+# the statements a deletion site may replace
+SIMPLE = (ast.Expr, ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Return, ast.Raise,
+          ast.Assert, ast.Delete, ast.Import, ast.ImportFrom, ast.Break, ast.Continue)
 SUITE = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--deselect", "tests/test_acceptance.py::TestCriterion1",
          "--deselect", "tests/test_acceptance.py::TestCriterion3"]
@@ -59,10 +69,25 @@ def _operator_gaps(tree: ast.Module):
                 yield type(node.op), left, right
 
 
+def _deletable(tree: ast.Module):
+    """(first node, last node) of every statement or body a deletion site
+    replaces."""
+    for node in ast.walk(tree):
+        if isinstance(node, SIMPLE) and not (
+                isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)) and not (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            yield node, node
+        if isinstance(node, (ast.If, ast.For)) and (
+                len(node.body) > 1 or not isinstance(node.body[0], (*SIMPLE, ast.Pass))):
+            yield node.body[0], node.body[-1]
+
+
 def sites(root: Path) -> list[tuple[str, int, int, int, str, str]]:
-    """Every mutation site as (file, line, start byte, end byte, old, new):
-    the bytes between two operands that hold the operator, so a swap edits
-    only that span (parentheses and line breaks around it stay)."""
+    """Every mutation site as (file, line, start byte, end byte, old, new).
+    A swap's span is the bytes between two operands that hold the operator,
+    so it edits only that span (parentheses and line breaks around it stay);
+    a deletion's span is its statements' own bytes."""
     found = []
     for path in sorted((root / PACKAGE).glob("*.py")):
         if path.name in SKIPPED:
@@ -71,7 +96,8 @@ def sites(root: Path) -> list[tuple[str, int, int, int, str, str]]:
         starts = [0]
         for line in source.splitlines(keepends=True):
             starts.append(starts[-1] + len(line))
-        for op, left, right in _operator_gaps(ast.parse(source)):
+        tree = ast.parse(source)
+        for op, left, right in _operator_gaps(tree):
             start = starts[left.end_lineno - 1] + left.end_col_offset
             end = starts[right.lineno - 1] + right.col_offset
             old, new = SWAPS[op]
@@ -79,6 +105,11 @@ def sites(root: Path) -> list[tuple[str, int, int, int, str, str]]:
             if gap.strip(PADDING) == old:  # an operator with a comment beside it is skipped
                 found.append((path.name, left.end_lineno, start, end, gap,
                               gap.replace(old, new, 1)))
+        for first, last in _deletable(tree):
+            start = starts[first.lineno - 1] + first.col_offset
+            end = starts[last.end_lineno - 1] + last.end_col_offset
+            found.append((path.name, first.lineno, start, end,
+                          source[start:end].decode(), "pass"))
     return found
 
 
@@ -143,9 +174,10 @@ def main(argv: list[str] | None = None) -> int:
                 path.write_bytes(original)
             survivors += survived
             text = original.splitlines()[line - 1].decode().strip()
+            lines = (old if new == "pass" else old.strip(PADDING)).splitlines()
+            shown = lines[0] + (f" ... ({len(lines)} lines)" if len(lines) > 1 else "")
             print(f"{'SURVIVED' if survived else 'killed  '} {filename}:{line}: "
-                  f"{old.strip(PADDING)!r} -> {new.strip(PADDING)!r} in `{text}`",
-                  flush=True)
+                  f"{shown!r} -> {new.strip(PADDING)!r} in `{text}`", flush=True)
     print(f"killed {len(chosen) - survivors} of {len(chosen)}; {survivors} survived")
     return 0
 

@@ -351,6 +351,24 @@ class TestIdxBoundary:
         assert "config error: model.num_classes: 3 < IDX label classes 5" in capsys.readouterr().err
 
 
+    def test_image_dim_other_than_input_dim_exits_1(self, tmp_path, capsys):
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 200, 2, 3) + bytes(1200))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 200) + bytes(range(2)) * 100)
+        path = self.idx_config(tmp_path, images, labels)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "config error: model.input_dim: 3 != IDX image dim 6" in capsys.readouterr().err
+
+    def test_too_few_idx_samples_exit_1(self, tmp_path, capsys):
+        # 4 fair clients of 20 samples and a holdout of 50 need 130
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 100, 1, 3) + bytes(300))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 100) + bytes(range(3)) * 33 + bytes(1))
+        path = self.idx_config(tmp_path, images, labels)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert ("config error: data: IDX dataset has 100 samples, need 130"
+                in capsys.readouterr().err)
+
 class TestPaths:
     """Unusable --config and --out paths are configuration errors (exit 1)
     that name the path, for every subcommand; a bad --out is caught before

@@ -241,6 +241,7 @@ class TestDataAccessIsolation:
         sim.ledger.eliminated.add(0)
         active = sim._active_clients()
         assert 0 not in {c.id for c in active}
-        updates = sim._compute_updates(active)
-        assert 0 not in updates
-        assert set(updates) == {c.id for c in active}
+        # one row per active client, in active order (row order against a
+        # lone client's update: test_simulator's
+        # test_round_rows_follow_active_order_around_eliminated_clients)
+        assert sim._compute_updates(active).shape == (len(active), sim.dim)

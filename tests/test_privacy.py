@@ -624,6 +624,31 @@ class TestReconstructBatch:
             assert batch[row].batch.features.tobytes() == clean[row].batch.features.tobytes()
             assert (batch[row].nit, batch[row].nfev) == (clean[row].nit, clean[row].nfev)
 
+    def test_a_nan_iterate_is_evaluated_and_diverges_its_row(self, monkeypatch):
+        # a NaN gradient sends problem 1's next point to NaN. Under the
+        # memoryview != a NaN point counts as moved, so it is evaluated, its
+        # loss is NaN and the row diverges: no row ends on a non-finite point
+        cfg, params, observed, shape, seeds = lockstep_problems((3,), 1, 3)
+        clean = reconstruct_batch(cfg, params, observed, shape, 300, seeds)
+        points = []
+
+        def nan_gradient_first(params, config, x, z, observed):
+            value, x_grad, z_grad = matching_loss(params, config, x, z, observed)
+            points.append(x.copy())
+            if len(points) == 1:
+                x_grad[1] = np.nan
+            return value, x_grad, z_grad
+
+        monkeypatch.setattr(fedaudit.privacy, "matching_loss", nan_gradient_first)
+        batch = reconstruct_batch(cfg, params, observed, shape, 300, seeds)
+        assert len(points[1]) == 3 and not np.isfinite(points[1][1]).all()
+        assert [rec.diverged for rec in batch] == [False, True, False]
+        start = fedaudit.privacy._dummy_start(cfg, shape, seeds[1])[:5]
+        assert batch[1].batch.features.tobytes() == start.tobytes()
+        for row in (0, 2):
+            assert batch[row].batch.features.tobytes() == clean[row].batch.features.tobytes()
+            assert (batch[row].nit, batch[row].nfev) == (clean[row].nit, clean[row].nfev)
+
     def test_stacks_must_match_the_seeds(self):
         cfg, params, observed, shape, seeds = lockstep_problems((), 1, 2)
         for bad_params, bad_observed, bad_seeds in ((params, observed[:1], seeds),

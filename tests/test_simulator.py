@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import struct
+import time
 from dataclasses import fields, is_dataclass, replace
 from types import SimpleNamespace
 from typing import get_type_hints
@@ -23,7 +24,7 @@ from fedaudit.defense import AuditMatrix, contribution_step
 from fedaudit.model import (ModelConfig, epoch_permutations, init_params, param_count,
                             train_clients)
 from fedaudit import simulator
-from fedaudit.privacy import PrivacyConfig
+from fedaudit.privacy import PrivacyConfig, apply_privacy
 from fedaudit.reporting import (dlg_csv_text, dlg_json_text, json_text, result_json_text,
                                 rounds_csv_text, sweep_csv_text)
 from fedaudit.scenarios import standard_config
@@ -61,7 +62,7 @@ def halting_simulation(**overrides):
     round 0 removes them all and round 1 halts."""
     sim = Simulation(tiny_config(defense=DefenseSettings(kind="rffl"), rounds=5,
                                  **overrides))
-    sim._rffl_score = lambda uploads, delta: sim.ledger.eliminate_below(math.inf)
+    sim._rffl_score = lambda ids, uploads, delta: sim.ledger.eliminate_below(math.inf)
     return sim
 
 
@@ -116,6 +117,39 @@ class TestRoundMechanics:
             own = single_client_update(sim.params, cfg, c.shard, perms[None])
             assert updates[c.id].tobytes() == own.tobytes()
 
+    @pytest.mark.parametrize("batch_size", [None, 25])
+    def test_round_rows_follow_active_order_around_eliminated_clients(self, batch_size):
+        # clients 1 (fair) and 4 (plain) are out, each between active ones:
+        # row i of the updates and of the uploads must be active[i]'s, bitwise
+        # the client's update alone (and its privacy transform)
+        cfg = replace(standard_config(fair=4, plain=2, seed=4, rounds=2, local_epochs=3),
+                      local_batch_size=batch_size)
+        sim = Simulation(cfg)
+        sim.run_round()
+        sim.ledger.eliminated |= {1, 4}
+        active = sim._active_clients()
+        assert [c.id for c in active] == [0, 2, 3, 5]
+        rngs = copy.deepcopy(sim.client_rngs)
+        expected = []
+        for c in active:
+            if c.kind == "plain":
+                expected.append(sim.alloc)  # the echo of the allocation
+                continue
+            perms = None if batch_size is None else epoch_permutations(
+                len(c.shard), cfg.local_epochs, rngs[c.id])[None]
+            expected.append(single_client_update(sim.params, cfg, c.shard, perms))
+        updates = copy.deepcopy(sim)._compute_updates(active)
+        assert updates.shape == (4, sim.dim)
+        for row, own in zip(updates, expected):
+            assert row.tobytes() == own.tobytes()
+        privacy_rngs = copy.deepcopy(sim.privacy_rngs)
+        sim.run_round()
+        ids, uploads, _, _ = sim._pending_audit
+        assert ids == [0, 2, 3, 5]
+        for row, cid, own in zip(uploads, ids, expected, strict=True):
+            assert row.tobytes() == apply_privacy(own, cfg.privacy,
+                                                  privacy_rngs[cid]).tobytes()
+
     def test_plain_fr_eliminated_by_round_50(self):
         cfg = standard_config(fair=10, plain=5, seed=0, rounds=50)
         result = run_experiment(cfg)
@@ -141,9 +175,14 @@ class TestRoundMechanics:
     def test_halts_when_everyone_eliminated(self, roster):
         # the cosine defense never suspends elimination: two clients are
         # both removed in round 0, below PASS's minimum of three active
-        result = halting_simulation(roster=roster).run()
+        sim = halting_simulation(roster=roster)
+        attempts = []
+        run_round = sim.run_round
+        sim.run_round = lambda: attempts.append(len(sim.logs)) or run_round()
+        result = sim.run()
         assert result.halted_early
         assert len(result.rounds) < 5
+        assert attempts == [0, 1]  # no round is tried after the one that halts
         assert result.rounds[0].newly_eliminated == tuple(range(roster.total))
         assert set(result.eliminated) == set(range(roster.total))
 
@@ -174,6 +213,10 @@ class TestCommAccounting:
 
     def test_prune_limit_recovers_plain_fl_order(self):
         assert comm_cost(4, 0.999999, 10) == 4 * 10  # peer cost vanishes
+
+    def test_no_active_client_rejected(self):
+        with pytest.raises(ValueError, match="n_active must be >= 1"):
+            comm_cost(0, 0.5, 10)
 
     def test_pruned_peer_payload(self):
         per_peer = (comm_cost(2, 0.9, 100) - 2 * 100) // 2
@@ -339,9 +382,32 @@ class TestSweep:
                                privacy=privacy, roster=replace(base.roster, anonymous=3))
                        for beta in (1.5, 2.5)]
 
+    def test_an_invalid_combination_fails_before_any_run(self, cpus, monkeypatch):
+        # fr_count 0 leaves no client, which only validate() rejects: the
+        # sweep must fail before its first combination runs
+        cpus({0})  # a forked worker's runs would not reach the patch
+        ran = []
+        monkeypatch.setattr("fedaudit.simulator.run_experiment", ran.append)
+        base = tiny_config(roster=RosterConfig(fair=0, selfish=1))
+        with pytest.raises(ConfigError, match="roster: at least one client required"):
+            sweep_experiment(base, {"fr_count": [1, 0]})
+        assert ran == []
+
     def test_unknown_sweep_key_rejected(self):
         with pytest.raises(ConfigError, match="sweep"):
             sweep_experiment(tiny_config(), {"epsilon": [1]})
+
+    @pytest.mark.parametrize("roster", [RosterConfig(fair=4),
+                                        RosterConfig(fair=4, plain=1, selfish=1)],
+                             ids=["no_rider_kind", "two_rider_kinds"])
+    def test_fr_count_needs_exactly_one_rider_kind(self, roster):
+        with pytest.raises(ConfigError, match="sweep.fr_count: roster must have exactly one"):
+            sweep_experiment(tiny_config(roster=roster), {"fr_count": [1]})
+
+    def test_empty_sweep_rejected(self):
+        # without the check the empty grid would run the base config once
+        with pytest.raises(ConfigError, match="sweep: at least one swept parameter"):
+            sweep_experiment(tiny_config(), {})
 
 
 class TestDlgGrid:
@@ -354,6 +420,14 @@ class TestDlgGrid:
         for cell in cells:
             assert cell.defended == (cell.median_mse > 1.49)
             assert cell.instances + cell.diverged == 3
+
+    def test_a_median_at_the_threshold_is_not_defended(self, monkeypatch):
+        # defended means a median MSE strictly above DEFENDED_MSE_THRESHOLD
+        above = np.nextafter(simulator.DEFENDED_MSE_THRESHOLD, np.inf)
+        for mse, defended in ((simulator.DEFENDED_MSE_THRESHOLD, False), (above, True)):
+            monkeypatch.setattr(simulator, "reconstruction_mse", lambda raw, rec: mse)
+            cells = run_dlg_experiment(tiny_grid(1))
+            assert [(c.median_mse, c.defended) for c in cells] == [(mse, defended)] * 4
 
     @pytest.mark.parametrize("nv", [float("nan"), float("inf"), -1.0])
     def test_noise_variances_must_be_finite_and_non_negative(self, nv):
@@ -440,7 +514,7 @@ class TestAuditMatrix:
         sim = Simulation(cfg)
         sim.run_round()
         sim.run_round()
-        uploads, theta_then, theta_before = sim._pending_audit
+        targets, uploads, theta_then, theta_before = sim._pending_audit
         shards = {c.id: c.audit_dataset for c in sim.clients
                   if c.audit_dataset is not None}
         assert list(shards) == [0, 1, 2, 3, 6]
@@ -454,8 +528,9 @@ class TestAuditMatrix:
 
         def reports(order):
             return [[audit_peer_update(shards[a], cfg.model, theta_then,
-                                       theta_before, uploads[target])
-                     for a in order if a != target] for target in uploads]
+                                       theta_before, upload)
+                     for a in order if a != target]
+                    for target, upload in zip(targets, uploads)]
 
         assert received == reports([1, 2, 3, 6, 0])
         assert received != reports([0, 1, 2, 3, 6])  # the two orders differ here
@@ -487,10 +562,10 @@ class TestAuditMatrix:
             if pending is None:
                 assert log.audit_reports == 0
                 continue
-            uploads, theta_then, theta_before = pending
-            seen.append((next(iter(uploads)), len(uploads)))
+            targets, uploads, theta_then, theta_before = pending
+            seen.append((targets[0], len(uploads)))
             expected = {}
-            for target_id, upload in uploads.items():
+            for target_id, upload in zip(targets, uploads):
                 for a in auditors:
                     if a.id != target_id:
                         row = expected.setdefault(a.id, {})
@@ -615,6 +690,21 @@ class TestTrainingWorker:
             assert {4, 3, 1} <= set(stacks)
             assert len(trained(submits)) == stacks.count(4) + stacks.count(3)
 
+    def test_a_round_after_run_trains_in_this_process(self, cpus, submits):
+        # run() leaves no worker behind: a round run after it is a serial
+        # round, equal to the same round of a run that never split
+        cfg = standard_config(fair=4, plain=1, seed=0, rounds=3)
+        cpus({0})
+        serial = Simulation(cfg)
+        expected = [serial.run_round() for _ in range(cfg.rounds + 1)]
+        cpus({0, 1})
+        sim = Simulation(cfg)
+        sim.run()
+        sent = len(submits)
+        assert sent > 0
+        assert [*sim.logs, sim.run_round()] == expected
+        assert len(submits) == sent
+
     def test_two_ids_split_one_each(self, cpus, submits):
         # the smallest split: of two fair clients and of two auditors, the
         # worker takes the second
@@ -675,7 +765,8 @@ class TestTrainingWorker:
     @pytest.mark.parametrize("failure, message", [
         ("raise", "(?s)round worker failed:.*ValueError: worker half"),
         ("exit", "round worker exited with code 3"),
-    ], ids=["raises", "exits"])
+        ("exit_after_eof", "round worker exited with code 3"),
+    ], ids=["raises", "exits", "exits_after_its_pipe_closes"])
     def test_worker_failure_raises_in_run(self, cpus, monkeypatch, failure, message):
         cpus({0, 1})
         parent = os.getpid()
@@ -683,7 +774,11 @@ class TestTrainingWorker:
 
         def train_in_parent_only(*args):
             if os.getpid() != parent:
-                if failure == "exit":
+                if failure == "exit_after_eof":
+                    # this process reads EOF before the worker's exit code exists
+                    os.closerange(3, 65536)
+                    time.sleep(0.5)
+                if failure != "raise":
                     os._exit(3)
                 raise ValueError("worker half")
             return train(*args)
