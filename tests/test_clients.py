@@ -170,8 +170,9 @@ class TestSelfishFreeRider:
             def cos(u):
                 return float(u @ alloc / (np.linalg.norm(u) * np.linalg.norm(alloc)))
 
-            sfr_cos += [cos(updates[c.id]) for c in active if c.kind == "selfish"]
-            fair_cos += [cos(updates[c.id]) for c in active if c.kind == "fair"]
+            # row i of the updates is active[i]'s
+            sfr_cos += [cos(u) for c, u in zip(active, updates) if c.kind == "selfish"]
+            fair_cos += [cos(u) for c, u in zip(active, updates) if c.kind == "fair"]
         assert np.mean(sfr_cos) > np.mean(fair_cos)
 
 

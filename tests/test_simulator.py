@@ -108,14 +108,15 @@ class TestRoundMechanics:
         sim = Simulation(cfg)
         sim.run_round()
         active = sim._active_clients()
-        fair = [c for c in active if c.kind == "fair"]
-        rngs = {c.id: copy.deepcopy(sim.client_rngs[c.id]) for c in fair}
+        fair = [i for i, c in enumerate(active) if c.kind == "fair"]
+        rngs = copy.deepcopy(sim.client_rngs)
         updates = sim._compute_updates(active)
         assert len(fair) == 4
-        for c in fair:
+        for i in fair:  # row i of the updates is active[i]'s
+            c = active[i]
             perms = epoch_permutations(len(c.shard), cfg.local_epochs, rngs[c.id])
             own = single_client_update(sim.params, cfg, c.shard, perms[None])
-            assert updates[c.id].tobytes() == own.tobytes()
+            assert updates[i].tobytes() == own.tobytes()
 
     @pytest.mark.parametrize("batch_size", [None, 25])
     def test_round_rows_follow_active_order_around_eliminated_clients(self, batch_size):
